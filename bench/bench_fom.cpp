@@ -12,8 +12,8 @@
 //     spill per continuation step; a Fom carries its whole state in one
 //     pooled block, so E17 must show ≥30% fewer allocations on the
 //     500-function creation and 4-type coordinated-evolution workloads.
-//   * wall time — Wall_E17_* run the E13-style fetch/evolution churn in
-//     inline (single-CPU) mode and report host time. Less allocator traffic
+//   * wall time — Wall_E17_* run the E13-style fetch/evolution churn on
+//     the single-threaded engine and report host time. Less allocator traffic
 //     and fewer event-queue round trips is a real-time win even when the
 //     simulated clock is unchanged.
 //
@@ -34,7 +34,7 @@
 
 // ===== Global allocation counting =====
 //
-// Counting forwarders around malloc/free. Relaxed atomics: the inline-mode
+// Counting forwarders around malloc/free. Relaxed atomics: the benchmark
 // workloads are single-threaded, the counters only need to not tear.
 
 namespace {
@@ -54,6 +54,12 @@ void* CountedAllocAligned(std::size_t size, std::size_t alignment) {
   std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
 }
+
+// Out of line on purpose: were the replaced operator delete inlined down to
+// std::free, GCC would pair that free with the caller's operator new and
+// report -Wmismatched-new-delete, although both sides are the replacements
+// above and below.
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
 
 struct AllocSnapshot {
   std::uint64_t count;
@@ -93,21 +99,23 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   if (p == nullptr) throw std::bad_alloc{};
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 
 namespace dcdo::bench {
@@ -221,10 +229,10 @@ BENCHMARK(SimTime_E17_CoordinatedEvolution)
     ->Iterations(1)
     ->Args({4, 1});
 
-// The E13-style churn suite in inline mode, measured in host time: four
-// instances over three derived versions, rounds of random evolve / migrate.
-// This is the wall-clock contract: same simulated schedule, fewer event
-// round trips and allocations per round.
+// The E13-style churn suite on the single-threaded engine, measured in host
+// time: four instances over three derived versions, rounds of random
+// evolve / migrate. This is the wall-clock contract: same simulated
+// schedule, fewer event round trips and allocations per round.
 void Wall_E17_FetchChurnInline(benchmark::State& state) {
   int concurrency = static_cast<int>(state.range(0));
   std::size_t rounds = SmokeMode() ? 4 : 24;

@@ -73,14 +73,13 @@ inline std::vector<ImplementationComponent> MakeFunctionGrid(
 }
 
 // A manager whose current version incorporates and enables every function of
-// `components` (published as ICOs on the manager's home host; host 0 unless
-// `home` says otherwise — E15's fan-out spreads homes across the grid).
+// `components` (published as ICOs on the manager's home host, host 0).
 inline std::unique_ptr<DcdoManager> MakeManagerWithVersion(
     Testbed& testbed, const std::string& type_name,
     const std::vector<ImplementationComponent>& components,
-    std::unique_ptr<EvolutionPolicy> policy, sim::SimHost* home = nullptr) {
+    std::unique_ptr<EvolutionPolicy> policy) {
   auto manager = std::make_unique<DcdoManager>(
-      type_name, home != nullptr ? home : testbed.host(0),
+      type_name, testbed.host(0),
       &testbed.transport(), &testbed.agent(), &testbed.registry(),
       std::move(policy));
   for (const ImplementationComponent& comp : components) {

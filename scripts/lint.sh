@@ -64,16 +64,10 @@ if command -v clang-tidy >/dev/null 2>&1; then
     cmake -B "$BUILD_DIR" -S . >/dev/null \
       || { echo "lint: cmake configure failed" >&2; exit 1; }
   fi
-  # When the dcdo-tidy plugin is built, load it so the repo-specific
-  # dcdo-* checks run alongside the stock ones (scripts/analyze.sh is the
-  # gating driver for those; here they are advisory).
-  PLUGIN=$(find "$BUILD_DIR/tools/dcdo-tidy" -name 'dcdo_tidy_module.*' \
-           2>/dev/null | head -n 1)
-  LOAD_ARGS=""
-  [ -n "$PLUGIN" ] && LOAD_ARGS="--load=$PLUGIN"
+  # The repo-specific dcdo-* checks run in scripts/analyze.sh.
   TIDY_SOURCES=$(find src \( -name '*.cc' -o -name '*.cpp' \) | sort)
   # shellcheck disable=SC2086
-  if ! clang-tidy $LOAD_ARGS -p "$BUILD_DIR" --quiet $TIDY_SOURCES; then
+  if ! clang-tidy -p "$BUILD_DIR" --quiet $TIDY_SOURCES; then
     FAILED=1
   fi
 else

@@ -209,7 +209,7 @@ Status DynamicFunctionMapper::IncorporateComponent(
 
 Status DynamicFunctionMapper::RemoveComponent(const ObjectId& component,
                                               ActiveThreadPolicy policy) {
-  bool had_active = false;
+  [[maybe_unused]] bool had_active = false;  // read by the check hook only
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
     for (const auto& [key, record] : impls_) {
@@ -282,7 +282,7 @@ Status DynamicFunctionMapper::DisableFunction(const std::string& function,
 Status DynamicFunctionMapper::SwitchImplementation(
     const std::string& function, const ObjectId& to_component) {
   ObjectId from_component;
-  int active_on_from = 0;
+  [[maybe_unused]] int active_on_from = 0;  // read by the check hook only
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
     if (const DfmEntry* enabled = state_.EnabledImpl(function)) {

@@ -42,7 +42,6 @@
 #include "naming/lease_table.h"
 #include "naming/shard_map.h"
 #include "sim/network.h"
-#include "sim/parallel_gate.h"
 #include "trace/metrics.h"
 
 namespace dcdo {
@@ -72,9 +71,8 @@ struct DirectoryConfig {
   sim::SimDuration lease_duration = sim::SimDuration::Zero();  // 0 = leases off
   std::size_t invalidation_bytes = 64;
   // Route modelled lookups as real request messages to the shard's host
-  // instead of queueing in place from the caller's context. Required under
-  // the parallel executor (the shard's service queue is then only ever
-  // touched from its own locality); see CostModel::directory_remote_requests.
+  // instead of queueing in place from the caller's context; see
+  // CostModel::directory_remote_requests.
   bool remote_requests = false;
   std::size_t request_bytes = 64;
 
@@ -139,8 +137,8 @@ class BindingAgent {
   // when the service model is off. `client` is the calling node; with
   // remote_requests the lookup travels the network as a request message to
   // the shard's host and the answer returns the same way (so the queueing at
-  // busy_until happens on the shard's own locality under the parallel
-  // executor), otherwise it only labels the caller.
+  // busy_until happens in NIC-serialized arrival order), otherwise it only
+  // labels the caller.
   void AsyncLookup(const ObjectId& id, std::uint64_t holder,
                    sim::NodeId client, LookupCallback done);
 
@@ -191,13 +189,6 @@ class BindingAgent {
   struct Shard {
     std::unordered_map<ObjectId, ObjectAddress, ObjectIdHash> bindings;
     LeaseTable leases;
-    // Guards `leases` under the parallel executor: a synchronous
-    // lease-granting lookup runs on the *caller's* locality, so two clients
-    // on different localities can grant against one shard concurrently
-    // (grants commute — the table is keyed by (id, holder) and ordered, so
-    // insertion interleaving never changes push order). Locks only while a
-    // ParallelExecutor is live; zero cost on the legacy path.
-    mutable sim::GatedMutex lease_mu;
     sim::NodeId node = 0;          // sim host serving this shard
     sim::SimTime busy_until;       // modelled service queue drains here
     // Atomic (trace::Counter): Lookup is const and callers probe agents from
@@ -239,10 +230,9 @@ class BindingAgent {
   // ordered holder sets instead.
   std::unordered_map<std::uint64_t, HolderRecord> holders_;
   std::uint64_t next_holder_ = 1;
-  // Sharded: bumped from every locality that resolves a lookup in parallel
-  // runs; see Shard::lookups_served for why these must at least be atomic.
-  mutable trace::ShardedCounter lookups_served_;
-  trace::ShardedCounter leases_granted_;
+  // Atomic: see Shard::lookups_served.
+  mutable trace::Counter lookups_served_;
+  trace::Counter leases_granted_;
   trace::Counter invalidations_sent_;
   trace::Counter invalidations_delivered_;
 };

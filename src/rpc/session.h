@@ -61,9 +61,8 @@ struct SlotGrant {
 // address (node, pid, epoch) — a rebind lands the call in the successor
 // activation's session, mirroring the server's per-activation state.
 //
-// Single-threaded by construction: a client's calls all execute on the
-// locality that owns the client's node (or the global one), the same
-// confinement CallState already relies on.
+// Single-threaded by construction: the simulation runs one event at a
+// time, the same confinement CallState already relies on.
 class SessionPool {
  public:
   // `slots` is CostModel::session_slots; the pool must not be used when 0.

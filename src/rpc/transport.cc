@@ -118,9 +118,8 @@ struct InFlight {
   // Trace carriage across the async hops (0 = untraced).
   std::uint64_t send_span = 0;
   std::uint64_t dispatch_span = 0;
-  // Locality that owns the caller's continuation, captured at Invoke: the
-  // reply delivery is tagged with it so a data-plane caller resumes on its
-  // own locality and a control-plane caller in the global one.
+  // Affinity of the caller's continuation, captured at Invoke: the reply
+  // delivery carries it as its determinism-digest tag.
   std::uint32_t reply_affinity = sim::kAffinityGlobal;
 };
 
@@ -173,12 +172,10 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
   const sim::CostModel& cost = cost_model();
   sim::Simulation& simulation = network_.simulation();
 
-  // Dispatch affinity: application traffic to a kParallel endpoint runs on
-  // the locality owning the destination node. Everything else — config-plane
-  // methods (dcdo.*/mgr.*), serialized endpoints, an endpoint not (yet)
-  // registered — dispatches in the global locality. An endpoint that appears
-  // between send and delivery is then handled serially, which is merely
-  // conservative.
+  // Dispatch affinity (a determinism-digest tag): application traffic to a
+  // kParallel endpoint is tagged with the destination node. Everything else
+  // — config-plane methods (dcdo.*/mgr.*), serialized endpoints, an endpoint
+  // not (yet) registered — is tagged global.
   std::uint32_t dispatch_affinity = sim::kAffinityGlobal;
   const bool config_plane = IsConfigMethodName(invocation.method_name());
   if (auto ep = endpoints_.find({to_node, to_pid});
@@ -222,7 +219,9 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
   try {
     call = InFlightPtr(::new (block) InFlight{this, from_node, to_node, to_pid,
                                               std::move(invocation),
-                                              std::move(on_reply)});
+                                              std::move(on_reply),
+                                              /*window=*/nullptr,
+                                              /*sessions=*/nullptr});
   } catch (...) {
     common::PoolFree<sizeof(InFlight)>(block);
     if (auto* tr = trace::ActiveContext()) {

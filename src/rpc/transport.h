@@ -55,16 +55,13 @@ using ReplyFn = common::MoveFunction<void(MethodResult), 32>;
 // invocation, but must not touch it after destroying the functor.
 using Handler = std::function<void(const MethodInvocation&, ReplyFn)>;
 
-// Where an endpoint's handler may run under the parallel executor
-// (DESIGN.md §14). kSerialized endpoints dispatch in the global locality —
-// required for handlers that touch cross-host state (the manager, class
-// objects, anything driving reconfiguration). kParallel endpoints dispatch
-// on the locality owning the destination node; only handlers whose state is
-// confined to that node qualify (Dcdo application dispatch). Config-plane
-// methods (dcdo.*/mgr.*) are forced to the global locality even on a
-// kParallel endpoint. Single-threaded runs ignore the distinction beyond
-// recording the affinity tag (which keeps determinism digests comparable
-// across modes).
+// Which determinism-digest affinity an endpoint's dispatch events carry
+// (see sim::Simulation::ScheduleFor); it has no effect on execution.
+// kSerialized endpoints (the manager, class objects, anything driving
+// reconfiguration) dispatch as global control-plane work. kParallel
+// endpoints, whose state is confined to their node (Dcdo application
+// dispatch), tag dispatch with the destination node. Config-plane methods
+// (dcdo.*/mgr.*) are tagged global even on a kParallel endpoint.
 enum class EndpointConcurrency { kSerialized, kParallel };
 
 class RpcTransport {
@@ -166,14 +163,13 @@ class RpcTransport {
   std::unordered_map<std::pair<sim::NodeId, sim::ProcessId>, Endpoint,
                      EndpointKeyHash>
       endpoints_;
-  // Sharded: bumped from worker localities on every parallel dispatch.
-  trace::ShardedCounter invocations_delivered_;
-  trace::ShardedCounter epoch_rejections_;
-  trace::ShardedCounter dedup_hits_;
-  trace::ShardedCounter dedup_evictions_;
-  trace::ShardedCounter dedup_capacity_evictions_;
-  trace::ShardedCounter session_hits_;
-  trace::ShardedCounter session_stale_drops_;
+  trace::Counter invocations_delivered_;
+  trace::Counter epoch_rejections_;
+  trace::Counter dedup_hits_;
+  trace::Counter dedup_evictions_;
+  trace::Counter dedup_capacity_evictions_;
+  trace::Counter session_hits_;
+  trace::Counter session_stale_drops_;
 };
 
 }  // namespace dcdo::rpc

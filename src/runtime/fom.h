@@ -19,13 +19,10 @@
 // Determinism digests are byte-identical across the conversion — the Fom
 // equivalence suite (tests/runtime/fom_equivalence_test.cpp) pins that.
 //
-// Threading: one scheduler per Simulation, shared by every locality. A
-// recursive mutex serializes all scheduler state; `Tick()` runs under it, so
-// a synchronous completion that re-wakes the running Fom (or wakes another)
-// nests safely. Converted operations are control-plane (global-affinity)
-// work, so contention is nil; the lock exists for the parallel executor's
-// worker threads delivering completions (fetch finishes, timer fires) from
-// their own localities.
+// Threading: one scheduler per Simulation. A recursive mutex serializes all
+// scheduler state; `Tick()` runs under it, so a synchronous completion that
+// re-wakes the running Fom (or wakes another) nests safely. The simulation
+// runs one event at a time, so the lock is never contended.
 //
 // Writing a new Fom:
 //
@@ -165,10 +162,7 @@ class FomScheduler {
       : simulation_(simulation) {}
   ~FomScheduler();
 
-  // The scheduler for `simulation`, created on first use. First call must
-  // come from setup or a global-affinity event (true of every conversion
-  // site — the converted operations are control-plane); later calls and all
-  // Wake*() entry points are safe from any locality.
+  // The scheduler for `simulation`, created on first use.
   static FomScheduler& For(sim::Simulation& simulation);
 
   // Allocates a T from the pool and registers it. The Fom does not run

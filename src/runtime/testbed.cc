@@ -8,59 +8,7 @@
 
 namespace dcdo {
 
-namespace {
-// Effective worker-locality count: the cost model's sim_workers, overridable
-// by DCDO_SIM_WORKERS — but only when the resulting configuration is one the
-// parallel executor supports (ValidateCostModel's parallel rules). An unsafe
-// override is refused with a warning rather than silently corrupting a run.
-int ResolveSimWorkers(sim::CostModel* cost) {
-  int workers = cost->sim_workers;
-  if (const char* env = std::getenv("DCDO_SIM_WORKERS")) {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end == env || parsed < 1 || parsed > 16) {
-      DCDO_LOG(kWarning) << "testbed: ignoring DCDO_SIM_WORKERS='" << env
-                         << "' (expected an integer in [1, 16])";
-    } else {
-      workers = static_cast<int>(parsed);
-    }
-  }
-  if (workers > 1) {
-    sim::CostModel candidate = *cost;
-    candidate.sim_workers = workers;
-    Status valid = sim::ValidateCostModel(candidate);
-    if (!valid.ok()) {
-      DCDO_LOG(kWarning) << "testbed: cannot run " << workers
-                         << " sim workers with this cost model ("
-                         << valid.message() << "); staying single-threaded";
-      workers = 1;
-    }
-  }
-  cost->sim_workers = workers;
-  return workers;
-}
-}  // namespace
-
 Testbed::Testbed(const Options& options) : cost_model_(options.cost_model) {
-  int sim_workers = ResolveSimWorkers(&cost_model_);
-  if (sim_workers > 1 && options.tracing) {
-    // Span capture mutates the trace buffer from whatever thread fires the
-    // event; the tracing layer is not locality-aware. Traced runs stay on
-    // the legacy engine.
-    DCDO_LOG(kWarning) << "testbed: tracing is incompatible with parallel "
-                          "simulation; staying single-threaded";
-    sim_workers = 1;
-    cost_model_.sim_workers = 1;
-  }
-  if (sim_workers > 1) {
-    Status parallel = simulation_.ConfigureParallel(
-        sim_workers, cost_model_.network_latency);
-    if (!parallel.ok()) {
-      DCDO_LOG(kError) << "testbed: parallel executor rejected: "
-                       << parallel.message();
-      std::abort();
-    }
-  }
 #if defined(DCDO_CHECK_ENABLED)
   if (options.checking) {
     // Installed before anything else exists, so every binding cache and

@@ -93,8 +93,6 @@ class Testbed {
 
  private:
   sim::Simulation simulation_;
-  // The options' cost model after resolving the effective sim_workers (the
-  // DCDO_SIM_WORKERS override, refused when unsafe; tracing forces 1).
   sim::CostModel cost_model_;
   std::unique_ptr<check::CheckContext> checker_;
   std::unique_ptr<trace::TraceContext> tracer_;

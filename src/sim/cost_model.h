@@ -180,28 +180,8 @@ struct CostModel {
   // Wire size of one invalidation notification (ObjectId + address + lease).
   std::size_t invalidation_bytes = 64;
 
-  // --- Parallel simulation localities (src/sim/parallel_sim.*) ---
-  // NOTE: like fetch_concurrency, these are modelled-deployment knobs, NOT
-  // calibration constants: the executor is constrained to produce the same
-  // simulated results at any worker count, so sim_workers changes wall-clock
-  // throughput only. 1 (the default) keeps the byte-identical single-
-  // threaded engine.
-  //
-  // Worker localities (threads) the simulation's hosts are partitioned
-  // across (node % sim_workers), capped at 16. The conservative window
-  // protocol uses network_latency as its lookahead, so parallel execution
-  // requires a positive network latency, and is incompatible with the
-  // in-place modelled lookup service (see directory_remote_requests below);
-  // ValidateCostModel rejects those combinations. Send batching composes
-  // with parallel execution: batches carry each delivery's locality
-  // affinity, batch state is partitioned per sender node (a node's sends
-  // all execute on the locality owning it, or on the coordinator between
-  // worker windows), and cross-node batch deliveries land at least one
-  // network latency (= the lookahead) in the future.
-  int sim_workers = 1;
   // Route directory lookups as real request messages to the shard's host
-  // instead of mutating the shard's service queue from the client's context.
-  // Required whenever sim_workers > 1 meets directory_lookup_service > 0:
+  // instead of mutating the shard's service queue from the client's context;
   // the shard's NIC then serializes concurrent lookups deterministically.
   // Off by default — the in-place model stays byte-identical to PR 7.
   bool directory_remote_requests = false;

@@ -48,9 +48,8 @@ void TraceSendDrop(NodeId from, NodeId to) {
 
 void SimNetwork::AddNode(NodeId node) {
   nodes_.insert(node);
-  // Pre-insert the NIC and batch entries so parallel sends never mutate the
-  // maps' structure: Send from worker threads only touches its own node's
-  // value (distinct keys, no rehash), which is race-free without a lock.
+  // Pre-insert the NIC and batch entries: every later Send touches only its
+  // own node's value.
   nic_busy_until_.try_emplace(node);
   pending_batches_.try_emplace(node);
 }
@@ -100,8 +99,7 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
     if (opened) {
       batch.id = sender.next_batch_id++;
       // The flush event carries the sender's affinity: it reads and ships
-      // this node's batch/NIC state, which only the owning locality (or the
-      // coordinator, never concurrently) may touch.
+      // this node's batch/NIC state.
       simulation_.ScheduleFor(from, cost_.send_batch_window,
                               [this, from, to, batch_id = batch.id]() {
                                 FlushBatch(from, to, batch_id);
@@ -125,10 +123,7 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
   }
   std::uint64_t span = BeginTransferSpan("net.xfer", from, bytes);
   if (from == to) {
-    // Loopback: no NIC serialization, negligible latency. The sub-lookahead
-    // delay is safe under the parallel executor: the delivery lands on the
-    // sender's own locality (same node) or on the global locality (reply
-    // continuations), and neither edge needs lookahead.
+    // Loopback: no NIC serialization, negligible latency.
     simulation_.ScheduleFor(delivery_affinity, SimDuration::Micros(5),
                             [this, span, fn = std::move(on_delivery)]() mutable {
                               messages_in_flight_.Decrement();
@@ -148,9 +143,7 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
   busy_until = start + wire;
   SimTime delivered = busy_until + cost_.network_latency;
   // Re-check reachability at delivery time: a partition that forms while the
-  // message is in flight loses the message. Cross-host delivery is at least
-  // network_latency (= the executor's lookahead) in the future, which is
-  // exactly why firing a worker window below Tmin + lookahead is causal.
+  // message is in flight loses the message.
   simulation_.ScheduleAtFor(
       delivery_affinity, delivered,
       [this, from, to, span, fn = std::move(on_delivery)]() mutable {
@@ -183,11 +176,11 @@ void SimNetwork::DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
                                std::vector<BatchEntry> deliveries) {
   batches_sent_.Increment();
   std::uint64_t span = BeginTransferSpan("net.batch", from, bytes);
-  // The batch crosses the NIC as one transfer, but each message must land on
-  // the locality its sender named: group the deliveries by affinity (stable,
-  // first-appearance order — a single-affinity batch stays one event,
-  // byte-identical to the ungrouped behavior) and give each group its own
-  // delivery event at the batch's single arrival instant.
+  // The batch crosses the NIC as one transfer, but each message keeps the
+  // digest affinity its sender named: group the deliveries by affinity
+  // (stable, first-appearance order — a single-affinity batch stays one
+  // event, byte-identical to the ungrouped behavior) and give each group its
+  // own delivery event at the batch's single arrival instant.
   struct Group {
     std::uint32_t affinity;
     std::vector<Delivery> fns;
@@ -258,8 +251,8 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
     TraceSendDrop(from, to);
     // Unlike the fire-and-forget transfer paths, a stream caller is owed an
     // answer either way; defer through the event loop so the failure never
-    // re-enters the caller mid-call. Stream machinery is global-owned
-    // (DESIGN.md §14), so the deferral is pinned there.
+    // re-enters the caller mid-call. Stream machinery is control-plane work,
+    // so the deferral is tagged global.
     simulation_.ScheduleGlobal(
         SimDuration::Zero(),
         [fn = std::move(on_done)]() mutable { fn(false); });
@@ -297,10 +290,8 @@ void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
   flow.on_done = std::move(on_done);
   flow.span = span;
   // Stream flow state (stream_flows_, node_stream_counts_, the re-share
-  // sweep) is global-owned: every mutation happens in a global-locality
-  // event, so the fair-share bookkeeping needs no locks under the parallel
-  // executor. Pinning the setup event keeps that true even if a data-plane
-  // event starts a stream.
+  // sweep) is control-plane: its events are tagged global even when a
+  // data-plane event starts the stream.
   flow.event = simulation_.ScheduleGlobal(
       setup, [this, flow_id]() { StartStreamPhase(flow_id); });
 }

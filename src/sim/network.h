@@ -68,15 +68,15 @@ class SimNetwork {
   // the batch. Per-message counters are maintained either way. With a zero
   // window (the default) each message takes the exact legacy path.
   //
-  // The delivery event is tagged with the destination node's affinity, so
-  // under the parallel executor (DESIGN.md §14) it fires on the locality
-  // that owns `to`'s state. The overload takes an explicit affinity for
-  // callers whose delivery must resume elsewhere (an RPC reply resuming a
-  // control-plane continuation passes kAffinityGlobal). Each message keeps
-  // its own affinity through a batch: at flush, deliveries are grouped by
-  // affinity (first-appearance order) and each group lands as one event on
-  // its own locality, all at the batch's single arrival time — a
-  // single-affinity batch is byte-identical to the pre-grouping behavior.
+  // The delivery event is tagged with the destination node's affinity (a
+  // determinism-digest tag, no effect on execution; see Simulation). The
+  // overload takes an explicit affinity for callers whose delivery resumes
+  // control-plane work (an RPC reply resuming a continuation passes
+  // kAffinityGlobal). Each message keeps its own affinity through a batch:
+  // at flush, deliveries are grouped by affinity (first-appearance order)
+  // and each group lands as one event, all at the batch's single arrival
+  // time — a single-affinity batch is byte-identical to the pre-grouping
+  // behavior.
   //
   // SendClass is the adaptive-formation hint (CostModel::formation_policy):
   // kUrgent marks latency-sensitive traffic (the transport tags config-plane
@@ -140,9 +140,8 @@ class SimNetwork {
   // message-conservation invariant requires
   //   sent == delivered + dropped-in-flight + in-flight
   // at all times, and in-flight == 0 once the simulator is idle). Stored as
-  // trace::ShardedCounter — per-locality lanes, so parallel workers bump
-  // message counts without bouncing a cache line; value() folds the lanes,
-  // and snapshots into an installed MetricsRegistry work as before.
+  // trace::Counter so snapshots into an installed MetricsRegistry read them
+  // directly.
   std::uint64_t messages_sent() const { return messages_sent_.value(); }
   std::uint64_t messages_delivered() const {
     return messages_delivered_.value();
@@ -166,8 +165,8 @@ class SimNetwork {
   // One coalesced message: its delivery closure plus the affinity its
   // delivery event must carry. Batches mix affinities (a node's outbound
   // traffic interleaves data-plane requests and control-plane replies), so
-  // the affinity must ride per delivery — collapsing a batch to one affinity
-  // would migrate deliveries onto the wrong locality.
+  // the affinity rides per delivery and the determinism digest sees the
+  // same tags batched or not.
   struct BatchEntry {
     Delivery fn;
     std::uint32_t affinity;
@@ -215,12 +214,8 @@ class SimNetwork {
   std::set<std::pair<NodeId, NodeId>> partitions_;  // normalized (min,max)
   std::unordered_map<NodeId, SimTime> nic_busy_until_;
   // Batch state is partitioned per sender node and pre-inserted in AddNode
-  // (same discipline as nic_busy_until_): a node's sends and its batch-flush
-  // events all execute on the locality owning that node (or the coordinator,
-  // never concurrently with it), so parallel senders touch disjoint
-  // SenderBatches and never mutate the outer map's structure. The batch-id
-  // guard counter lives here too — a global counter would be a cross-node
-  // write race, and the ids only ever compare within one (from, to) lane.
+  // (same discipline as nic_busy_until_). The batch-id guard counter lives
+  // here too: the ids only ever compare within one (from, to) lane.
   struct SenderBatches {
     std::map<NodeId, PendingBatch> by_dest;
     std::uint64_t next_batch_id = 1;
@@ -231,14 +226,14 @@ class SimNetwork {
   std::unordered_map<NodeId, int> node_stream_counts_;
   std::uint64_t next_stream_id_ = 1;
   std::size_t streaming_count_ = 0;
-  trace::ShardedCounter batches_sent_;
-  trace::ShardedCounter messages_coalesced_;
-  trace::ShardedCounter messages_sent_;
-  trace::ShardedCounter messages_delivered_;
-  trace::ShardedCounter messages_dropped_;            // refused at send time
-  trace::ShardedCounter messages_dropped_in_flight_;  // lost after acceptance
-  trace::ShardedCounter messages_in_flight_;
-  trace::ShardedCounter bytes_sent_;
+  trace::Counter batches_sent_;
+  trace::Counter messages_coalesced_;
+  trace::Counter messages_sent_;
+  trace::Counter messages_delivered_;
+  trace::Counter messages_dropped_;            // refused at send time
+  trace::Counter messages_dropped_in_flight_;  // lost after acceptance
+  trace::Counter messages_in_flight_;
+  trace::Counter bytes_sent_;
 };
 
 }  // namespace dcdo::sim

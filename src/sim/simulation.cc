@@ -1,9 +1,8 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
-
-#include "sim/parallel_sim.h"
 
 namespace dcdo::sim {
 namespace {
@@ -15,9 +14,18 @@ constexpr int LevelShift(int level) {
 
 }  // namespace
 
-/// Out of line: ~unique_ptr<ParallelExecutor> needs the complete type.
-Simulation::Simulation() { slab_.emplace_back().gen = 1; }
-Simulation::~Simulation() = default;
+std::uint64_t CombineDigests(
+    const std::unordered_map<std::uint32_t, std::uint64_t>& per_affinity) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> sorted(
+      per_affinity.begin(), per_affinity.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::uint64_t digest = 1469598103934665603ull;  // FNV offset basis
+  for (const auto& [affinity, acc] : sorted) {
+    digest = DigestStep(digest, static_cast<std::int64_t>(affinity));
+    digest = DigestStep(digest, static_cast<std::int64_t>(acc));
+  }
+  return digest;
+}
 
 std::uint32_t Simulation::AllocSlot() {
   if (!free_slots_.empty()) {
@@ -49,17 +57,11 @@ std::uint64_t Simulation::ScheduleAt(SimTime when, Callback fn) {
 std::uint64_t Simulation::ScheduleFor(std::uint32_t affinity,
                                       SimDuration delay, Callback fn) {
   if (delay < SimDuration::Zero()) delay = SimDuration::Zero();
-  if (executor_) {
-    // The executor computes `when` from the calling locality's clock, which
-    // is this context's notion of "now".
-    return executor_->Schedule(delay, affinity, std::move(fn));
-  }
   return ScheduleAtFor(affinity, now_ + delay, std::move(fn));
 }
 
 std::uint64_t Simulation::ScheduleAtFor(std::uint32_t affinity, SimTime when,
                                         Callback fn) {
-  if (executor_) return executor_->ScheduleAt(when, affinity, std::move(fn));
   if (when < now_) when = now_;
   const std::uint32_t slot = AllocSlot();
   Event& event = slab_[slot];
@@ -233,7 +235,6 @@ bool Simulation::PopAndFire() {
 }
 
 std::size_t Simulation::Run() {
-  if (executor_) return executor_->Run();
   std::size_t fired = 0;
   while (PopAndFire()) ++fired;
   current_affinity_ = kAffinityGlobal;  // back to driver context
@@ -241,7 +242,6 @@ std::size_t Simulation::Run() {
 }
 
 std::size_t Simulation::RunUntil(SimTime deadline) {
-  if (executor_) return executor_->RunUntil(deadline);
   std::size_t fired = 0;
   while (PrepareTop() && queue_.top().when <= deadline) {
     if (PopAndFire()) ++fired;
@@ -252,7 +252,6 @@ std::size_t Simulation::RunUntil(SimTime deadline) {
 }
 
 bool Simulation::RunWhile(const std::function<bool()>& predicate) {
-  if (executor_) return executor_->RunWhile(predicate);
   while (predicate()) {
     if (!PopAndFire()) {
       current_affinity_ = kAffinityGlobal;
@@ -263,67 +262,7 @@ bool Simulation::RunWhile(const std::function<bool()>& predicate) {
   return true;
 }
 
-std::uint32_t Simulation::CurrentAffinity() const {
-  return executor_ ? CurrentThreadAffinity() : current_affinity_;
-}
-
-void Simulation::SetEventObserver(EventObserver observer) {
-  observer_ = std::move(observer);
-  if (executor_) executor_->SetEventObserver(observer_);
-}
-
-Status Simulation::ConfigureParallel(int workers, SimDuration lookahead) {
-  if (executor_ != nullptr) {
-    return InvalidArgumentError("parallel executor already configured");
-  }
-  if (workers < 1 || workers > kMaxSimWorkers) {
-    return InvalidArgumentError("sim workers must be in [1, 16]");
-  }
-  if (lookahead <= SimDuration::Zero()) {
-    return InvalidArgumentError(
-        "parallel lookahead (min link latency) must be positive");
-  }
-  if (live_count_ != 0 || events_fired_ != 0 || next_seq_ != 0 ||
-      now_ != SimTime::Zero()) {
-    return InvalidArgumentError(
-        "ConfigureParallel requires a fresh simulation");
-  }
-  ParallelExecutor::Options options;
-  options.workers = workers;
-  options.lookahead = lookahead;
-  executor_ = std::make_unique<ParallelExecutor>(options);
-  executor_->EnableDigest(digest_enabled_);
-  if (observer_) executor_->SetEventObserver(observer_);
-  return Status::Ok();
-}
-
-void Simulation::EnableDeterminismDigest(bool on) {
-  digest_enabled_ = on;
-  if (executor_) executor_->EnableDigest(on);
-}
-
-std::uint64_t Simulation::DeterminismDigest() const {
-  if (executor_) return executor_->Digest();
-  return CombineDigests(digest_);
-}
-
-SimTime Simulation::ExecutorNow() const { return executor_->Now(); }
-void Simulation::ExecutorAdvance(SimDuration delta) {
-  executor_->AdvanceInline(delta);
-}
-bool Simulation::ExecutorIdle() const { return executor_->Idle(); }
-std::size_t Simulation::ExecutorPending() const {
-  return executor_->PendingEvents();
-}
-std::uint64_t Simulation::ExecutorFired() const {
-  return executor_->TotalFired();
-}
-
 void Simulation::Cancel(std::uint64_t event_id) {
-  if (executor_) {
-    executor_->Cancel(event_id);
-    return;
-  }
   const std::uint32_t slot = static_cast<std::uint32_t>(event_id);
   const std::uint32_t gen = static_cast<std::uint32_t>(event_id >> 32);
   if (slot >= slab_.size()) return;

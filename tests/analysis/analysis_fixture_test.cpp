@@ -8,9 +8,7 @@
 //
 // The expectations live in the fixtures themselves (the `// expect:`
 // markers), so adding a case means editing one file. The tests drive the
-// dcdo-analyze engine binary; when the clang-tidy plugin is built, the
-// same fixtures can be run through `clang-tidy --load` by hand (the checks
-// share names and NOLINT semantics).
+// dcdo-analyze engine binary.
 #include <gtest/gtest.h>
 
 #include <array>

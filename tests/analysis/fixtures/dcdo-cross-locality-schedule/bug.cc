@@ -1,11 +1,7 @@
-// Reduced reproduction of the PR 8 parallel-executor hazard: handing a
-// deferred scheduling sink a lambda that captures locals by reference.
-// Under the locality executor (DESIGN.md §14) the callback may fire on a
-// different worker thread after this frame has returned, so `[&]` / `[&x]`
-// captures dangle (stack lifetime) or race (the referent is touched
-// concurrently with the locality that owns it). The single-threaded legacy
-// path hides the bug completely — events fire before the caller's stack
-// unwinds only by accident of Run() being on the same thread.
+// Reduced reproduction of the migration-callback dangling-reference bug:
+// handing a deferred scheduling sink a lambda that captures locals by
+// reference. The callback fires from the event loop after this frame has
+// returned, so `[&]` / `[&x]` captures dangle (stack lifetime).
 #include <cstdint>
 #include <functional>
 
@@ -30,8 +26,7 @@ class Churn {
     sim.Schedule(1000, [&] { ++attempts; });  // expect: dcdo-cross-locality-schedule
   }
 
-  // Named by-ref capture across an affinity boundary: the worker owning
-  // `affinity` fires the callback while this thread still owns `pending`.
+  // Named by-ref capture: `pending` is gone by the time the event fires.
   void TrackCompletion(Simulation& sim, std::uint32_t affinity) {
     int pending = 1;
     sim.ScheduleFor(affinity, 2000,
@@ -39,7 +34,7 @@ class Churn {
   }
 
   // A multi-line call is still one argument span; the delivery callback
-  // runs on the destination node's locality.
+  // runs when the message lands.
   void Deliver(Network& net, int from, int to) {
     bool delivered = false;
     net.Send(from, to, 64,

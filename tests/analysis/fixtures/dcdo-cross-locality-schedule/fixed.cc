@@ -1,4 +1,4 @@
-// The committed fix patterns (PR 8 Schedule-call audit, DESIGN.md §14):
+// The committed fix patterns (Schedule-call audit):
 // deferred callbacks capture by value — ids, copies, or an owner pointer
 // whose lifetime the scheduler controls (`this` for components torn down
 // only after the simulation drains). By-reference captures remain fine in

@@ -3,6 +3,7 @@
 // call in a real deployment races configuration changes). These tests run
 // OS threads, not simulated ones.
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -38,16 +39,26 @@ TEST(MapperConcurrency, CallersRaceConfigurationSafely) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> successes{0};
   std::atomic<std::uint64_t> typed_failures{0};
+  // The configurator starts only once every caller has finished one
+  // Acquire. Without it the configurator can run all its iterations before
+  // any caller is scheduled, leaving nothing raced and no success counted.
+  constexpr int kCallers = 4;
+  std::latch callers_started(kCallers);
 
   // 4 caller threads: every outcome must be success or a typed evolution
   // error; anything else (crash, data race, wrong payload) fails the test.
   std::vector<std::thread> callers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&] {
       NullCtx ctx;
       ByteBuffer args = ByteBuffer::FromString("x");
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         auto guard = mapper.Acquire("f", CallOrigin::kExternal);
+        if (first) {
+          callers_started.count_down();
+          first = false;
+        }
         if (!guard.ok()) {
           ASSERT_TRUE(guard.status().code() == ErrorCode::kFunctionDisabled ||
                       guard.status().code() == ErrorCode::kFunctionMissing)
@@ -67,6 +78,7 @@ TEST(MapperConcurrency, CallersRaceConfigurationSafely) {
   // 1 configurator thread: keeps switching f's implementation and
   // occasionally disables/re-enables it.
   std::thread configurator([&] {
+    callers_started.wait();
     bool to_b = true;
     for (int i = 0; i < 3000; ++i) {
       ObjectId target = to_b ? comp_b.id : comp_a.id;

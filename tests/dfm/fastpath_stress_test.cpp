@@ -8,6 +8,7 @@
 // legal noise is race-unquiesced-swap / dfm-no-dangling warnings, which the
 // paper explicitly permits: threads may proceed inside deactivated code).
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -52,19 +53,29 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> successes{0};
+  // Churn starts only once every acquirer has finished one Acquire. Without
+  // it the churn thread can run all its iterations before any acquirer is
+  // scheduled, leaving nothing raced and no success counted.
+  constexpr int kAcquirers = 4;
+  std::latch acquirers_started(kAcquirers);
 
   // Two by-name acquirers and two by-id acquirers. Every outcome must be a
   // completed call or a typed evolution error — never a crash, a torn slot
   // read, or a stale body producing the wrong payload.
   std::vector<std::thread> acquirers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kAcquirers; ++t) {
     acquirers.emplace_back([&, t] {
       NullCtx ctx;
       ByteBuffer args = ByteBuffer::FromString("x");
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         auto guard = (t % 2 == 0)
                          ? mapper.Acquire("f", CallOrigin::kExternal)
                          : mapper.Acquire(f_id, CallOrigin::kExternal);
+        if (first) {
+          acquirers_started.count_down();
+          first = false;
+        }
         if (!guard.ok()) {
           ASSERT_TRUE(guard.status().code() == ErrorCode::kFunctionMissing ||
                       guard.status().code() == ErrorCode::kFunctionDisabled)
@@ -85,6 +96,7 @@ TEST(FastPathStress, AcquirersRaceChurnWithCheckerInstalled) {
   // removal retries until it catches a gap between calls).
   std::uint64_t version_before = mapper.table_version();
   std::thread churn([&] {
+    acquirers_started.wait();
     bool to_b = true;
     for (int i = 0; i < 2000; ++i) {
       (void)mapper.SwitchImplementation("f", to_b ? comp_b.id : comp_a.id);

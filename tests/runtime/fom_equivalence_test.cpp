@@ -10,9 +10,8 @@
 // with DCDO_EQUIV_CAPTURE=1, which prints each scenario's summary instead
 // of asserting. Any drift in digest / fired / end_ns / state_hash means the
 // conversion changed the simulated execution — an instant failure, not a
-// tolerance band. Scenarios run at sim_workers 1 and 4 with the every-event
-// invariant checker + race detector live (the suite is also in the TSan CI
-// regex at DCDO_SIM_WORKERS=4 DCDO_SIM_THREADS=1).
+// tolerance band. Scenarios run with the every-event invariant checker +
+// race detector live (the suite is also in the TSan CI regex).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,8 +32,8 @@ namespace dcdo {
 namespace {
 
 using check::CheckContext;
-using testing::ClearWorkerOverride;
 using testing::Fnv;
+using testing::RunBatchedSessionTraffic;
 using testing::RunFetchChurn;
 using testing::RunRebindStorm;
 using testing::RunSummary;
@@ -46,13 +45,11 @@ using testing::RunSummary;
 // succeed). Batch 2 validates but fails at apply time, driving the
 // coordinator's failure spine (apply loop, mid-batch failure, best-effort
 // rollback, refusal notes) under the digest.
-RunSummary RunCoordinatorBatches(int workers) {
-  ClearWorkerOverride();
+RunSummary RunCoordinatorBatches() {
   ObjectId::ResetCounterForTest();
 
   Testbed::Options options;
   options.check_options.cadence = CheckContext::Cadence::kEveryEvent;
-  options.cost_model.sim_workers = workers;
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);
 
@@ -182,29 +179,21 @@ struct Pinned {
 bool CaptureMode() { return std::getenv("DCDO_EQUIV_CAPTURE") != nullptr; }
 
 void ExpectMatchesLegacy(const char* name, const Pinned& pinned,
-                         RunSummary (*run)(int)) {
-  for (int workers : {1, 4}) {
-    const RunSummary actual = run(workers);
-    EXPECT_TRUE(actual.checker_clean)
-        << name << " workers=" << workers << ":\n" << actual.diagnostics;
-    EXPECT_EQ(actual.late_remote, 0u) << name << " workers=" << workers;
-    if (CaptureMode()) {
-      if (workers == 1) {
-        std::printf("constexpr Pinned %s = {%lluull, %lluull, %lld, %lluull};\n",
-                    name,
-                    static_cast<unsigned long long>(actual.digest),
-                    static_cast<unsigned long long>(actual.fired),
-                    static_cast<long long>(actual.end_ns),
-                    static_cast<unsigned long long>(actual.state_hash));
-      }
-      continue;
-    }
-    EXPECT_EQ(actual.digest, pinned.digest) << name << " workers=" << workers;
-    EXPECT_EQ(actual.fired, pinned.fired) << name << " workers=" << workers;
-    EXPECT_EQ(actual.end_ns, pinned.end_ns) << name << " workers=" << workers;
-    EXPECT_EQ(actual.state_hash, pinned.state_hash)
-        << name << " workers=" << workers;
+                         RunSummary (*run)()) {
+  const RunSummary actual = run();
+  EXPECT_TRUE(actual.checker_clean) << name << ":\n" << actual.diagnostics;
+  if (CaptureMode()) {
+    std::printf("constexpr Pinned %s = {%lluull, %lluull, %lld, %lluull};\n",
+                name, static_cast<unsigned long long>(actual.digest),
+                static_cast<unsigned long long>(actual.fired),
+                static_cast<long long>(actual.end_ns),
+                static_cast<unsigned long long>(actual.state_hash));
+    return;
   }
+  EXPECT_EQ(actual.digest, pinned.digest) << name;
+  EXPECT_EQ(actual.fired, pinned.fired) << name;
+  EXPECT_EQ(actual.end_ns, pinned.end_ns) << name;
+  EXPECT_EQ(actual.state_hash, pinned.state_hash) << name;
 }
 
 // Captured from the legacy continuation-chain implementation; see the file
@@ -221,14 +210,14 @@ constexpr Pinned kCoordinatorBatches = {1602434531113269194ull, 10ull,
 
 TEST(FomEquivalence, FetchChurnPipelinedMatchesLegacy) {
   ExpectMatchesLegacy("kFetchChurnPipelined", kFetchChurnPipelined,
-                      [](int workers) { return RunFetchChurn(workers, 8); });
+                      [] { return RunFetchChurn(8); });
 }
 
 TEST(FomEquivalence, FetchChurnSequentialMatchesLegacy) {
   // fetch_concurrency = 1 drives the sequential fetch path — the
   // SequentialDriver conversion — plus the inline poll/removal chain.
   ExpectMatchesLegacy("kFetchChurnSequential", kFetchChurnSequential,
-                      [](int workers) { return RunFetchChurn(workers, 1); });
+                      [] { return RunFetchChurn(1); });
 }
 
 TEST(FomEquivalence, RebindStormMatchesLegacy) {
@@ -238,6 +227,21 @@ TEST(FomEquivalence, RebindStormMatchesLegacy) {
 TEST(FomEquivalence, CoordinatorBatchesMatchLegacy) {
   ExpectMatchesLegacy("kCoordinatorBatches", kCoordinatorBatches,
                       &RunCoordinatorBatches);
+}
+
+// Run-to-run stability of the instrument itself: two runs must agree before
+// equality with a pinned capture means anything (a global counter or
+// container-order dependence would already break this).
+TEST(FomEquivalence, LegacyBaselineIsRunToRunStable) {
+  EXPECT_TRUE(RunFetchChurn() == RunFetchChurn());
+  EXPECT_TRUE(RunRebindStorm() == RunRebindStorm());
+}
+
+TEST(FomEquivalence, BatchedSessionTrafficIsRunToRunStable) {
+  const RunSummary first = RunBatchedSessionTraffic();
+  ASSERT_GT(first.fired, 0u);
+  EXPECT_TRUE(first.checker_clean) << first.diagnostics;
+  EXPECT_TRUE(first == RunBatchedSessionTraffic());
 }
 
 }  // namespace

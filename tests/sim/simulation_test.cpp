@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 namespace dcdo::sim {
 namespace {
 
@@ -332,6 +336,98 @@ TEST(SimulationTest, AlignedSlotsAcrossLevelsFlushTogether) {
     EXPECT_LE(times[i - 1], times[i]) << "clock ran backwards at event " << i;
   }
   EXPECT_EQ(simulation.Now().nanos(), kAlignedNs + 1000);
+}
+
+TEST(SimulationTest, AffinityDoesNotChangeExecutionOrder) {
+  // Affinity is a determinism-digest tag only: mixed node and global events
+  // fire in plain (time, schedule-order) order.
+  Simulation simulation;
+  std::vector<int> order;
+  for (std::uint32_t node = 0; node < 4; ++node) {
+    simulation.ScheduleFor(node, SimDuration::Micros(20 - 5 * node),
+                           [&order, node] { order.push_back(node); });
+  }
+  simulation.ScheduleGlobal(SimDuration::Micros(10),
+                            [&order] { order.push_back(10); });
+  simulation.ScheduleFor(3, SimDuration::Micros(10),
+                         [&order] { order.push_back(13); });
+  EXPECT_EQ(simulation.pending_events(), 6u);
+  EXPECT_EQ(simulation.Run(), 6u);
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 10, 13, 1, 0}));
+  EXPECT_EQ(simulation.Now().nanos(), 20'000);
+}
+
+TEST(SimulationTest, EventsInheritSchedulingAffinity) {
+  Simulation simulation;
+  std::uint32_t seen = 0;
+  simulation.ScheduleFor(7, SimDuration::Micros(10), [&] {
+    // Plain Schedule from a node-7 event: the follow-up carries node 7's
+    // digest affinity.
+    simulation.Schedule(SimDuration::Micros(1),
+                        [&] { seen = simulation.CurrentAffinity(); });
+  });
+  simulation.Run();
+  EXPECT_EQ(seen, 7u);
+  // Outside any event, the affinity is global again.
+  EXPECT_EQ(simulation.CurrentAffinity(), kAffinityGlobal);
+}
+
+// --- Determinism digest ----------------------------------------------------
+
+// Per-node ping chains with explicit affinity, inherited-affinity follow-ups,
+// and control-plane events that spray work onto nodes: the interaction
+// shapes the real substrate tags, minus the substrate.
+std::uint64_t RunPingWorkload(std::uint64_t* fired) {
+  constexpr std::uint32_t kNodes = 8;
+  Simulation simulation;
+  simulation.EnableDeterminismDigest(true);
+  std::function<void(std::uint32_t, int)> hop = [&](std::uint32_t node,
+                                                    int hops_left) {
+    if (hops_left == 0) return;
+    const std::uint32_t next = (node + 3) % kNodes;
+    simulation.ScheduleFor(
+        next, SimDuration::Micros(150),
+        [&hop, next, hops_left] { hop(next, hops_left - 1); });
+    simulation.Schedule(SimDuration::Micros(7), [] {});
+  };
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    simulation.ScheduleFor(node, SimDuration::Micros(10 + node),
+                           [&hop, node] { hop(node, 12); });
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    simulation.ScheduleGlobal(SimDuration::Micros(120 * i), [&, i] {
+      simulation.ScheduleFor(2 * i, SimDuration::Micros(150),
+                             [&hop, i] { hop(2 * i, 2); });
+    });
+  }
+  simulation.Run();
+  *fired = simulation.events_fired();
+  return simulation.DeterminismDigest();
+}
+
+TEST(SimulationTest, DigestIsRunToRunStable) {
+  std::uint64_t first_fired = 0;
+  std::uint64_t second_fired = 0;
+  const std::uint64_t first = RunPingWorkload(&first_fired);
+  const std::uint64_t second = RunPingWorkload(&second_fired);
+  ASSERT_GT(first_fired, 0u);
+  EXPECT_EQ(second_fired, first_fired);
+  EXPECT_EQ(second, first);
+}
+
+TEST(SimulationTest, DivergentWorkloadsDiverge) {
+  // Sanity on the instrument itself: a one-event timestamp difference must
+  // change the digest, or equality assertions over it prove nothing.
+  auto digest_with_extra_delay = [](SimDuration extra) {
+    Simulation simulation;
+    simulation.EnableDeterminismDigest(true);
+    simulation.ScheduleFor(1, SimDuration::Micros(10), [] {});
+    simulation.ScheduleFor(2, SimDuration::Micros(20) + extra, [] {});
+    simulation.Run();
+    return simulation.DeterminismDigest();
+  };
+  EXPECT_NE(digest_with_extra_delay(SimDuration::Zero()),
+            digest_with_extra_delay(SimDuration::Nanos(1)));
 }
 
 TEST(SimTimeTest, DurationArithmetic) {

@@ -1,19 +1,17 @@
-// Deterministic whole-substrate churn scenarios shared by the parallel-
-// determinism suite (tests/sim) and the Fom equivalence suite (tests/runtime).
+// Deterministic whole-substrate churn scenarios for the Fom equivalence
+// suite (tests/runtime/fom_equivalence_test.cpp).
 //
 // Each scenario drives a heavy EXPERIMENTS.md workload to quiescence and
 // folds everything observable into a RunSummary: the per-affinity SimTime
 // event-order digest, total events fired, the final clock, and a final-state
 // fingerprint. Two runs are "the same execution" iff their summaries are
-// equal — that is the contract both suites assert, across worker counts
-// (DESIGN.md §14) and across the continuation-chain → Fom conversion
-// (DESIGN.md §16).
+// equal — that is the contract the suite asserts, run to run and across the
+// continuation-chain → Fom conversion (DESIGN.md §16).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <random>
@@ -24,7 +22,6 @@
 #include "core/manager.h"
 #include "naming/binding_cache.h"
 #include "runtime/testbed.h"
-#include "sim/parallel_sim.h"
 #include "testing/fixtures.h"
 
 namespace dcdo::testing {
@@ -38,7 +35,6 @@ struct RunSummary {
   std::uint64_t fired = 0;
   std::int64_t end_ns = 0;
   std::uint64_t state_hash = 0;
-  std::uint64_t late_remote = 0;
   bool checker_clean = true;
   std::string diagnostics;
 
@@ -48,24 +44,10 @@ struct RunSummary {
   }
 };
 
-// The suites compare explicit worker counts; a CI-level DCDO_SIM_WORKERS
-// override would collapse them all onto one value and prove nothing.
-// Forcing DCDO_SIM_THREADS=1 keeps the real worker pool (and its barrier
-// protocol) under test even on single-CPU machines, where the executor's
-// auto mode would otherwise run every window inline on the coordinator.
-inline void ClearWorkerOverride() {
-  unsetenv("DCDO_SIM_WORKERS");
-  setenv("DCDO_SIM_THREADS", "1", /*overwrite=*/1);
-}
-
 inline void FinishSummary(Testbed& testbed, RunSummary& summary) {
   summary.digest = testbed.simulation().DeterminismDigest();
   summary.fired = testbed.simulation().events_fired();
   summary.end_ns = testbed.simulation().Now().nanos();
-  if (testbed.simulation().parallel()) {
-    summary.late_remote =
-        testbed.simulation().executor()->late_remote_events();
-  }
   if (check::CheckContext* checker = testbed.checker()) {
     summary.checker_clean = checker->diagnostics().Clean();
     if (!summary.checker_clean) {
@@ -76,14 +58,12 @@ inline void FinishSummary(Testbed& testbed, RunSummary& summary) {
 
 // ===== E13: fetch-churn (concurrent creations, evolutions, migrations) =====
 
-inline RunSummary RunFetchChurn(int workers, int fetch_concurrency = 8) {
-  ClearWorkerOverride();
+inline RunSummary RunFetchChurn(int fetch_concurrency = 8) {
   ObjectId::ResetCounterForTest();
   std::mt19937 rng(1999);
 
   Testbed::Options options;
   options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
-  options.cost_model.sim_workers = workers;
   options.cost_model.fetch_concurrency = fetch_concurrency;
   options.cost_model.component_cache_capacity = 4;
   Testbed testbed(options);
@@ -192,19 +172,16 @@ inline RunSummary RunFetchChurn(int workers, int fetch_concurrency = 8) {
 
 // ===== E14: rebind storm over the leased, sharded, remote directory ========
 
-inline RunSummary RunRebindStorm(int workers) {
-  ClearWorkerOverride();
+inline RunSummary RunRebindStorm() {
   ObjectId::ResetCounterForTest();
 
   Testbed::Options options;
   options.host_count = 8;
   options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
-  options.cost_model.sim_workers = workers;
   options.cost_model.naming_shard_count = 2;
   options.cost_model.binding_lease_duration = sim::SimDuration::Seconds(60.0);
   // The modelled per-lookup service time, routed as real request messages to
-  // the shard hosts — the configuration parallel execution requires, applied
-  // at every worker count so the comparison is like for like.
+  // the shard hosts.
   options.cost_model.directory_lookup_service = sim::SimDuration::Micros(100);
   options.cost_model.directory_remote_requests = true;
   Testbed testbed(options);
@@ -276,6 +253,98 @@ inline RunSummary RunRebindStorm(int workers) {
   }
   summary.state_hash = Fnv(summary.state_hash, agent.invalidations_delivered());
   summary.state_hash = Fnv(summary.state_hash, agent.lookups_served());
+  FinishSummary(testbed, summary);
+  return summary;
+}
+
+// ===== E16-shaped batched + sessioned RPC traffic ==========================
+//
+// Data-plane calls to kParallel endpoints (delivery affinity = destination
+// node) interleave with urgent config-plane calls (delivery affinity =
+// global) from the same senders, so one batch carries mixed affinities and
+// the flush groups them; sessions bound the in-flight calls per client.
+inline RunSummary RunBatchedSessionTraffic() {
+  ObjectId::ResetCounterForTest();
+
+  Testbed::Options options;
+  options.host_count = 8;
+  options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
+  options.cost_model.send_batch_window = sim::SimDuration::Millis(1);
+  options.cost_model.formation_policy = true;
+  options.cost_model.session_slots = 2;
+  Testbed testbed(options);
+  testbed.simulation().EnableDeterminismDigest(true);
+  BindingAgent& agent = testbed.agent();
+  sim::Simulation& simulation = testbed.simulation();
+
+  // Four served targets on nodes 1..4, each tallying its data-plane calls.
+  constexpr int kTargets = 4;
+  std::vector<ObjectId> targets;
+  std::vector<std::uint64_t> served(kTargets, 0);
+  for (int t = 0; t < kTargets; ++t) {
+    targets.push_back(ObjectId::Next(domains::kInstance));
+    const ObjectAddress address{static_cast<sim::NodeId>(1 + t),
+                                static_cast<sim::ProcessId>(50 + t), 1};
+    testbed.transport().RegisterEndpoint(
+        address.node, address.pid, address.epoch,
+        [&served, t](const rpc::MethodInvocation& inv, rpc::ReplyFn reply) {
+          if (!rpc::IsConfigMethodName(inv.method_name())) {
+            ++served[static_cast<std::size_t>(t)];
+          }
+          reply(rpc::MethodResult::Ok(
+              ByteBuffer::FromString(std::string(inv.method_name()))));
+        },
+        rpc::EndpointConcurrency::kParallel);
+    agent.Bind(targets.back(), address);
+  }
+
+  // Four clients on nodes 5..8. Each round sends a back-to-back burst to one
+  // target — six data-plane calls (twice the slot bound, so admission
+  // queues) plus a config-plane call that the formation policy flushes
+  // urgently — forming mixed-affinity batches on the (client node, server
+  // node) lane. The 350 us per-call stagger lands 2-3 calls inside each 1 ms
+  // batch window, so coalescing stays exercised.
+  std::vector<std::unique_ptr<rpc::RpcClient>> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.push_back(std::make_unique<rpc::RpcClient>(
+        &testbed.transport(), &agent, static_cast<sim::NodeId>(5 + c)));
+  }
+  std::uint64_t replies = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int c = 0; c < 4; ++c) {
+      const ObjectId& target =
+          targets[static_cast<std::size_t>((c + round) % kTargets)];
+      for (int i = 0; i < 7; ++i) {
+        const bool poke = i == 6;  // the urgent config call rides last
+        const auto at = sim::SimDuration::Millis(10 * round) +
+                        sim::SimDuration::Micros(100 * c + 350 * i);
+        simulation.Schedule(at, [&, c, target, poke]() {
+          clients[static_cast<std::size_t>(c)]->Invoke(
+              target, poke ? "dcdo.poke" : "work", {},
+              [&replies](Result<ByteBuffer> r) { replies += r.ok(); });
+        });
+      }
+    }
+  }
+  testbed.RunAll();
+
+  RunSummary summary;
+  summary.state_hash = 1469598103934665603ull;
+  summary.state_hash = Fnv(summary.state_hash, replies);
+  for (int t = 0; t < kTargets; ++t) {
+    summary.state_hash = Fnv(summary.state_hash, served[t]);
+  }
+  summary.state_hash =
+      Fnv(summary.state_hash, testbed.transport().session_hits());
+  // The scenario must actually exercise what it claims to: batches formed,
+  // messages coalesced, admission queued.
+  EXPECT_GT(testbed.network().batches_sent(), 0u);
+  EXPECT_GT(testbed.network().messages_coalesced(), 0u);
+  for (const auto& client : clients) {
+    EXPECT_GT(client->backpressure_waits(), 0u);
+    EXPECT_EQ(client->queued_calls(), 0u);  // all admitted by quiescence
+  }
+  EXPECT_EQ(replies, 4u * 6u * 7u);
   FinishSummary(testbed, summary);
   return summary;
 }

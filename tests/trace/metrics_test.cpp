@@ -73,7 +73,7 @@ TEST(MetricsRegistryTest, GetCreatesFindDoesNot) {
   EXPECT_EQ(registry.FindCounter("rpc.timeouts"), nullptr);
   EXPECT_EQ(registry.CounterValue("rpc.timeouts"), 0u);
 
-  ShardedCounter& c = registry.GetCounter("rpc.timeouts");
+  Counter& c = registry.GetCounter("rpc.timeouts");
   c.Increment(7);
   EXPECT_EQ(registry.CounterValue("rpc.timeouts"), 7u);
   ASSERT_NE(registry.FindCounter("rpc.timeouts"), nullptr);

@@ -963,25 +963,23 @@ void IndexFile(const SourceFile& file, ProjectIndex* index) {
 // ---------------------------------------------------------------------------
 // dcdo-cross-locality-schedule
 //
-// The PR 8 parallel-executor hazard class: a callback handed to a deferred
+// The dangling-reference class: a callback handed to a deferred
 // scheduling sink (Simulation::Schedule / ScheduleAt / ScheduleFor /
-// ScheduleAtFor / ScheduleGlobal, Locality::PushRemote, SimNetwork::Send)
-// does not run in the enclosing frame — under the locality executor
-// (DESIGN.md §14) it may fire later on a *different worker thread*. A
-// by-reference capture (`[&]` or `[&x]`) then either dangles (the stack
-// frame is long gone by the fire time) or races (the referent is touched
-// concurrently with the locality that owns it). Deferred callbacks must
-// capture by value: ids, copies, or owner pointers whose lifetime the
-// scheduler controls. Driver code that runs the simulation to completion
-// inside the capturing frame can suppress with NOLINT and a reason.
+// ScheduleAtFor / ScheduleGlobal, SimNetwork::Send) does not run in the
+// enclosing frame — it fires later, from the event loop. A by-reference
+// capture (`[&]` or `[&x]`) then dangles: the stack frame is long gone by
+// the fire time. Deferred callbacks must capture by value: ids, copies, or
+// owner pointers whose lifetime the scheduler controls. Driver code that
+// runs the simulation to completion inside the capturing frame can
+// suppress with NOLINT and a reason.
 // ---------------------------------------------------------------------------
 void CheckCrossLocalitySchedule(const SourceFile& file,
                                 std::vector<Finding>* findings) {
   std::string_view code = file.code();
 
-  static constexpr std::array<const char*, 7> kSinks = {
+  static constexpr std::array<const char*, 6> kSinks = {
       "Schedule",      "ScheduleAt", "ScheduleFor", "ScheduleAtFor",
-      "ScheduleGlobal", "PushRemote", "Send"};
+      "ScheduleGlobal", "Send"};
   for (const char* sink : kSinks) {
     const std::size_t sink_len = std::string_view(sink).size();
     for (std::size_t pos = FindIdent(code, sink);
@@ -1027,10 +1025,9 @@ void CheckCrossLocalitySchedule(const SourceFile& file,
           Report(file, t.begin, kCrossLocality,
                  what + " in a callback passed to deferred sink '" +
                      std::string(sink) +
-                     "' — under the parallel locality executor the callback "
-                     "may fire on another worker thread after this frame "
-                     "returns (dangling reference or cross-locality race); "
-                     "capture by value instead",
+                     "' — the callback fires from the event loop after this "
+                     "frame returns, so the reference dangles; capture by "
+                     "value instead",
                  findings);
           break;  // one report per lambda
         }

@@ -8,12 +8,10 @@
 //   dcdo-unordered-iteration-schedules  PR 5 determinism hazard class
 //   dcdo-wallclock-in-sim               sim-determinism hazard
 //   dcdo-status-discard                 silently dropped error paths
-//   dcdo-cross-locality-schedule        PR 8 parallel-executor lifetime class
+//   dcdo-cross-locality-schedule        migration-callback dangling reference
 //   dcdo-continuation-chain             PR 10 heap-continuation class
 //
-// The same seven checks exist as clang-tidy AST-matcher checks in
-// ../plugin/ (built when LLVM/Clang dev headers are present). This engine
-// is the dependency-free fallback so analysis runs on every machine; it is
+// This engine is dependency-free so analysis runs on every machine; it is
 // deliberately conservative — heuristics are tuned so that everything it
 // reports on this codebase is a true instance of the pattern, with NOLINT
 // comments as the escape hatch.

@@ -1,4 +1,4 @@
-// dcdo-analyze: driver for the dcdo-tidy checks, fallback-engine build.
+// dcdo-analyze: driver for the dcdo-tidy checks.
 //
 // Usage:
 //   dcdo-analyze [options] FILE...
