@@ -1,5 +1,5 @@
-// E16 — Heavy-traffic open loop: sessions, flow control, and adaptive
-// formation under load (DESIGN.md §15, EXPERIMENTS.md E16).
+// E16 — Heavy-traffic open loop: sessions, flow control, and send batching
+// under load (DESIGN.md §15, EXPERIMENTS.md E16).
 //
 // Closed-loop benches (E2, E11) re-issue a call only after the previous one
 // answers, so they can never observe queueing: offered load self-throttles
@@ -13,14 +13,13 @@
 // Scenarios:
 //   OpenLoopLegacy    — session_slots=0, batching off: the PR 4 dedup-window
 //                       configuration. Zero-drift gated (no allowlist entry):
-//                       sessions and formation are opt-in, so this number
+//                       sessions and batching are opt-in, so this number
 //                       moving means the default path changed.
 //   OpenLoopSessions  — session_slots=4: client-side slot admission queues
 //                       the overflow (rpc.backpressure) instead of landing it
 //                       on the server; p99 trades against bounded in-flight.
-//   OpenLoopFormation — sessions + send_batch_window + formation_policy:
-//                       kCoalesce traffic rides the 1 ms window, kUrgent
-//                       config-plane calls (dcdo.*) flush inline.
+//   OpenLoopBatched   — sessions + a 1 ms send_batch_window: back-to-back
+//                       sends to one destination ride one NIC transfer.
 //   SlowServer        — service time exceeds invocation_timeout: every call's
 //                       retry lands while the body is parked; exactly-once
 //                       must hold (the bench aborts if any body re-runs).
@@ -34,7 +33,9 @@
 // mode), bit-stable on a given host. Arrival schedules derive from Mix64
 // integer hashing (bench_naming_scale idiom), not library RNG state, so the
 // schedule is identical across standard-library versions too. Smoke mode
-// (DCDO_BENCH_SMOKE) shrinks call counts but keeps every code path.
+// (DCDO_BENCH_SMOKE) shrinks call counts but keeps every code path; the
+// saturated open loop keeps its full size, so smoke numbers for it compare
+// like with like against BENCH_dcdo.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -110,7 +111,7 @@ struct OpenLoopRig {
     clients.reserve(static_cast<std::size_t>(client_count));
     for (int c = 0; c < client_count; ++c) {
       // Server is node 1; clients start at host 2 so every call crosses the
-      // simulated wire (loopback would skip the formation path entirely).
+      // simulated wire (loopback would skip the NIC entirely).
       clients.push_back(testbed.MakeClient(2 + static_cast<std::size_t>(c)));
     }
   }
@@ -167,7 +168,7 @@ void ReportLatency(benchmark::State& state, const trace::Histogram& latency) {
       benchmark::Counter(static_cast<double>(latency.count()));
 }
 
-// --- The saturated open loop (Legacy / Sessions / Formation) ---------------
+// --- The saturated open loop (Legacy / Sessions / Batched) -----------------
 // A thousand clients (each on its own simulated host), Poisson arrivals at
 // ~2x each client's slot capacity: mean gap 500 us against ~2 ms of service
 // + wire time, so sessioned runs queue at the client while the legacy run
@@ -175,22 +176,24 @@ void ReportLatency(benchmark::State& state, const trace::Histogram& latency) {
 
 constexpr double kOpenLoopGapMicros = 500.0;
 
-int OpenLoopCalls() { return Smoke() ? 6 : 8; }
-int OpenLoopClients() { return Smoke() ? 8 : 1000; }
+// Not shrunk in smoke mode: the full loop costs well under a second of host
+// time, and SimTime_E16_OpenLoopLegacy is zero-drift gated against the
+// full-size committed value.
+constexpr int kOpenLoopCalls = 8;
+constexpr int kOpenLoopClients = 1000;
 
 std::vector<std::vector<sim::SimDuration>> OpenLoopSchedule() {
   std::vector<std::vector<sim::SimDuration>> schedule;
-  schedule.reserve(static_cast<std::size_t>(OpenLoopClients()));
-  for (int c = 0; c < OpenLoopClients(); ++c) {
-    schedule.push_back(PoissonArrivals(OpenLoopCalls(), kOpenLoopGapMicros,
+  schedule.reserve(static_cast<std::size_t>(kOpenLoopClients));
+  for (int c = 0; c < kOpenLoopClients; ++c) {
+    schedule.push_back(PoissonArrivals(kOpenLoopCalls, kOpenLoopGapMicros,
                                        0xE16 + static_cast<std::uint64_t>(c)));
   }
   return schedule;
 }
 
-void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options,
-                         const char* method = "work") {
-  options.host_count = OpenLoopClients() + 2;
+void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options) {
+  options.host_count = kOpenLoopClients + 2;
   const auto schedule = OpenLoopSchedule();
   trace::Histogram latency;
   std::uint64_t backpressure = 0;
@@ -199,8 +202,8 @@ void RunOpenLoopScenario(benchmark::State& state, Testbed::Options options,
   for (auto _ : state) {
     // Fresh rig per iteration: every iteration replays the identical
     // schedule from t=0, so the reported time is the same number repeated.
-    OpenLoopRig rig(options, OpenLoopClients(), sim::SimDuration::Millis(2));
-    state.SetIterationTime(rig.Run(schedule, latency, method));
+    OpenLoopRig rig(options, kOpenLoopClients, sim::SimDuration::Millis(2));
+    state.SetIterationTime(rig.Run(schedule, latency));
     backpressure = rig.BackpressureWaits();
     batches = rig.testbed.network().batches_sent();
     coalesced = rig.testbed.network().messages_coalesced();
@@ -228,27 +231,13 @@ void SimTime_E16_OpenLoopSessions(benchmark::State& state) {
 }
 BENCHMARK(SimTime_E16_OpenLoopSessions)->UseManualTime()->Iterations(4);
 
-void SimTime_E16_OpenLoopFormation(benchmark::State& state) {
+void SimTime_E16_OpenLoopBatched(benchmark::State& state) {
   Testbed::Options options = BenchOptions();
   options.cost_model.session_slots = 4;
   options.cost_model.send_batch_window = sim::SimDuration::Millis(1);
-  options.cost_model.formation_policy = true;
   RunOpenLoopScenario(state, options);
 }
-BENCHMARK(SimTime_E16_OpenLoopFormation)->UseManualTime()->Iterations(4);
-
-// Formation with the urgent class exercised: the same open loop issued as
-// config-plane calls ("dcdo." prefix), which kUrgent flushes inline — the
-// makespan shows what the 1 ms window costs when policy does NOT hold the
-// traffic back.
-void SimTime_E16_OpenLoopFormationUrgent(benchmark::State& state) {
-  Testbed::Options options = BenchOptions();
-  options.cost_model.session_slots = 4;
-  options.cost_model.send_batch_window = sim::SimDuration::Millis(1);
-  options.cost_model.formation_policy = true;
-  RunOpenLoopScenario(state, options, "dcdo.poke");
-}
-BENCHMARK(SimTime_E16_OpenLoopFormationUrgent)->UseManualTime()->Iterations(4);
+BENCHMARK(SimTime_E16_OpenLoopBatched)->UseManualTime()->Iterations(4);
 
 // --- SlowServer: service time > invocation_timeout -------------------------
 // Every call's first retry fires while the body is still parked; the

@@ -75,7 +75,7 @@ WALL_REPORT_ONLY = os.environ.get("DCDO_BENCH_WALL_REPORT_ONLY") == "1"
 # gate. The default exempts exactly the E13 parallel-acquisition entries
 # whose last argument (fetch concurrency) is > 1, the E14 naming-scale
 # entries whose last argument (shard count) is > 1, and the E16 open-loop
-# entries that opt into sessions or formation (their numbers move whenever
+# entries that opt into sessions or batching (their numbers move whenever
 # admission or batching policy is tuned). The concurrency-1 / shard-1 /
 # E16 OpenLoopLegacy entries stay under the zero-drift gate — they must
 # stay byte-identical to the sequential / monolithic / dedup-window
@@ -84,8 +84,8 @@ DRIFT_ALLOWLIST = re.compile(
     os.environ.get(
         "DCDO_BENCH_DRIFT_ALLOWLIST",
         r"^SimTime_E13_.*/(4|8|16)/|^SimTime_E14_.*/(2|4|8|16)/iterations"
-        r"|^SimTime_E16_(OpenLoopSessions|OpenLoopFormation|"
-        r"OpenLoopFormationUrgent|SlowServer|Incast|RetryStorm)/",
+        r"|^SimTime_E16_(OpenLoopSessions|OpenLoopBatched|SlowServer|"
+        r"Incast|RetryStorm)/",
     )
 )
 

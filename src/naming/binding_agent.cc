@@ -7,25 +7,25 @@
 
 namespace dcdo {
 
-Status BindingAgent::Configure(const DirectoryConfig& config,
-                               sim::Simulation* simulation,
-                               sim::SimNetwork* network,
+Status BindingAgent::Configure(sim::SimNetwork* network,
                                std::vector<sim::NodeId> shard_nodes) {
-  if (config.shard_count < 1) {
+  if (network == nullptr) {
+    return InvalidArgumentError("the directory needs a simulated network");
+  }
+  const sim::CostModel& cost = network->cost_model();
+  if (cost.naming_shard_count < 1) {
     return InvalidArgumentError("directory shard count must be at least 1");
   }
-  if (config.ring_points_per_shard < 1) {
+  if (cost.naming_ring_points < 1) {
     return InvalidArgumentError("ring points per shard must be at least 1");
   }
-  const bool needs_substrate =
-      config.lease_duration > sim::SimDuration::Zero() ||
-      config.lookup_service > sim::SimDuration::Zero();
-  if (needs_substrate && (simulation == nullptr || network == nullptr)) {
-    return InvalidArgumentError(
-        "leases / modelled lookups need a simulation and a network");
-  }
-  if (needs_substrate &&
-      shard_nodes.size() != static_cast<std::size_t>(config.shard_count)) {
+  // Shard hosts are optional only while nothing sends from them; any list
+  // given must still match the shard count, since it indexes the shards.
+  const bool needs_shard_hosts =
+      cost.binding_lease_duration > sim::SimDuration::Zero() ||
+      cost.directory_lookup_service > sim::SimDuration::Zero();
+  if ((needs_shard_hosts || !shard_nodes.empty()) &&
+      shard_nodes.size() != static_cast<std::size_t>(cost.naming_shard_count)) {
     return InvalidArgumentError(
         "expected one sim host per shard (shard_nodes size mismatch)");
   }
@@ -33,11 +33,10 @@ Status BindingAgent::Configure(const DirectoryConfig& config,
     return FailedPreconditionError(
         "the directory must be empty when reconfigured (no live resharding)");
   }
-  config_ = config;
-  simulation_ = simulation;
   network_ = network;
-  map_.Build(config.shard_count, config.ring_points_per_shard);
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(config.shard_count));
+  map_.Build(cost.naming_shard_count, cost.naming_ring_points);
+  shards_ =
+      std::vector<Shard>(static_cast<std::size_t>(cost.naming_shard_count));
   for (std::size_t i = 0; i < shard_nodes.size(); ++i) {
     shards_[i].node = shard_nodes[i];
   }
@@ -84,8 +83,8 @@ Result<ObjectAddress> BindingAgent::LookupWithLease(const ObjectId& id,
     return NotFoundError("no binding for object " + id.ToString());
   }
   if (leases_enabled() && holder != 0) {
-    sim::SimTime now = simulation_->Now();
-    *expiry = now + config_.lease_duration;
+    sim::SimTime now = simulation()->Now();
+    *expiry = now + cost().binding_lease_duration;
     shard.leases.Grant(id, holder, now, *expiry);
     leases_granted_.Increment();
     DCDO_TRACE_HOOK(metrics().GetCounter("naming.leases_granted").Increment());
@@ -94,7 +93,7 @@ Result<ObjectAddress> BindingAgent::LookupWithLease(const ObjectId& id,
 }
 
 void BindingAgent::AsyncLookup(const ObjectId& id, std::uint64_t holder,
-                               sim::NodeId client, LookupCallback done) {
+                               LookupCallback done) {
   if (!lookup_service_modeled()) {
     // Unmodelled service: resolve immediately, exactly like the sync paths.
     sim::SimTime expiry{};
@@ -103,51 +102,12 @@ void BindingAgent::AsyncLookup(const ObjectId& id, std::uint64_t holder,
     done(std::move(result), expiry);
     return;
   }
-  if (config_.remote_requests && network_ != nullptr) {
-    // Remote service: the lookup is a real request message to the shard's
-    // host, and the answer travels back the same way. The shard's service
-    // queue (busy_until) is then only ever advanced by delivery events at
-    // the shard's host, in deterministic NIC-serialized arrival order.
-    const std::uint32_t reply_affinity = simulation_->CurrentAffinity();
-    network_->Send(
-        client, ShardRef(id).node, config_.request_bytes,
-        [this, id, holder, client, reply_affinity,
-         issued = simulation_->Now(), done = std::move(done)]() mutable {
-          Shard& shard = ShardRef(id);
-          sim::SimTime now = simulation_->Now();
-          sim::SimTime start = std::max(now, shard.busy_until);
-          sim::SimTime complete = start + config_.lookup_service;
-          shard.busy_until = complete;
-          simulation_->ScheduleAt(
-              complete,
-              [this, id, holder, client, reply_affinity, issued,
-               done = std::move(done)]() mutable {
-                sim::SimTime expiry{};
-                Result<ObjectAddress> result =
-                    holder != 0 ? LookupWithLease(id, holder, &expiry)
-                                : Lookup(id);
-                DCDO_TRACE_HOOK(metrics()
-                                    .GetHistogram("naming.lookup_latency")
-                                    .Record(simulation_->Now() - issued));
-                // The reply carries the issuing context's affinity
-                // (captured up front) as its digest tag.
-                network_->Send(
-                    ShardRef(id).node, client, config_.request_bytes,
-                    [result = std::move(result), expiry,
-                     done = std::move(done)]() mutable {
-                      done(std::move(result), expiry);
-                    },
-                    reply_affinity);
-              });
-        });
-    return;
-  }
   Shard& shard = ShardRef(id);
-  sim::SimTime now = simulation_->Now();
+  sim::SimTime now = simulation()->Now();
   sim::SimTime start = std::max(now, shard.busy_until);
-  sim::SimTime complete = start + config_.lookup_service;
+  sim::SimTime complete = start + cost().directory_lookup_service;
   shard.busy_until = complete;
-  simulation_->Schedule(
+  simulation()->Schedule(
       complete - now,
       [this, id, holder, issued = now, done = std::move(done)]() mutable {
         sim::SimTime expiry{};
@@ -155,7 +115,7 @@ void BindingAgent::AsyncLookup(const ObjectId& id, std::uint64_t holder,
             holder != 0 ? LookupWithLease(id, holder, &expiry) : Lookup(id);
         DCDO_TRACE_HOOK(metrics()
                             .GetHistogram("naming.lookup_latency")
-                            .Record(simulation_->Now() - issued));
+                            .Record(simulation()->Now() - issued));
         done(std::move(result), expiry);
       });
 }
@@ -179,8 +139,8 @@ std::size_t BindingAgent::size() const {
 }
 
 std::size_t BindingAgent::live_leases() const {
-  if (simulation_ == nullptr) return 0;
-  sim::SimTime now = simulation_->Now();
+  if (network_ == nullptr) return 0;
+  sim::SimTime now = simulation()->Now();
   std::size_t total = 0;
   for (const Shard& shard : shards_) total += shard.leases.LiveCount(now);
   return total;
@@ -189,7 +149,7 @@ std::size_t BindingAgent::live_leases() const {
 void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
                                  const ObjectAddress* fresh) {
   if (!leases_enabled()) return;
-  sim::SimTime now = simulation_->Now();
+  sim::SimTime now = simulation()->Now();
   // Ordered by holder id (LeaseTable keeps holder sets in std::map), so the
   // push fan-out hits the shard NIC in a deterministic order.
   std::vector<std::uint64_t> live = shard.leases.LiveHolders(id, now);
@@ -199,7 +159,7 @@ void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
     shard.leases.Drop(id);
   }
   if (live.empty()) return;
-  sim::SimTime lease_expiry = now + config_.lease_duration;
+  sim::SimTime lease_expiry = now + cost().binding_lease_duration;
   bool has_fresh = fresh != nullptr;
   ObjectAddress address = has_fresh ? *fresh : ObjectAddress::Invalid();
   for (std::uint64_t holder : live) {
@@ -216,7 +176,7 @@ void BindingAgent::PushToHolders(Shard& shard, const ObjectId& id,
     // Send() enforces reachability: a partitioned or down holder silently
     // loses the notice, which is precisely the lost-invalidation case lease
     // expiry exists to cover.
-    network_->Send(shard.node, it->second.node, config_.invalidation_bytes,
+    network_->Send(shard.node, it->second.node, cost().invalidation_bytes,
                    [this, holder, id, address, has_fresh, lease_expiry]() {
                      DeliverInvalidation(holder, id, address, has_fresh,
                                          lease_expiry);

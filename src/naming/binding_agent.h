@@ -7,7 +7,8 @@
 // cached binding proves stale. The paper's reproduction started with one
 // monolithic agent and timeout-probed caches (25-35 s stale-binding
 // discovery); this class keeps that exact behavior as its default and layers
-// two opt-in mechanisms over it, both configured from CostModel knobs:
+// two opt-in mechanisms over it, both read from the attached network's
+// CostModel:
 //
 //   * Sharding (naming_shard_count > 1): the namespace is partitioned across
 //     N shard replicas by consistent hashing (ShardMap); each shard owns its
@@ -62,33 +63,6 @@ class InvalidationSink {
   ~InvalidationSink() = default;
 };
 
-// How a deployment's directory is laid out; derived from CostModel knobs by
-// FromCostModel (the testbed path) or built by hand in tests.
-struct DirectoryConfig {
-  int shard_count = 1;
-  int ring_points_per_shard = 64;
-  sim::SimDuration lookup_service = sim::SimDuration::Zero();  // 0 = unmodelled
-  sim::SimDuration lease_duration = sim::SimDuration::Zero();  // 0 = leases off
-  std::size_t invalidation_bytes = 64;
-  // Route modelled lookups as real request messages to the shard's host
-  // instead of queueing in place from the caller's context; see
-  // CostModel::directory_remote_requests.
-  bool remote_requests = false;
-  std::size_t request_bytes = 64;
-
-  static DirectoryConfig FromCostModel(const sim::CostModel& cost) {
-    DirectoryConfig config;
-    config.shard_count = cost.naming_shard_count;
-    config.ring_points_per_shard = cost.naming_ring_points;
-    config.lookup_service = cost.directory_lookup_service;
-    config.lease_duration = cost.binding_lease_duration;
-    config.invalidation_bytes = cost.invalidation_bytes;
-    config.remote_requests = cost.directory_remote_requests;
-    config.request_bytes = cost.directory_request_bytes;
-    return config;
-  }
-};
-
 class BindingAgent {
  public:
   // (result, lease_expiry): expiry is meaningful only when the lookup was
@@ -99,16 +73,14 @@ class BindingAgent {
   // Default: one shard, leases off, unmodelled — the legacy monolithic agent.
   BindingAgent() = default;
 
-  // Applies a directory layout. Must be called while the directory is empty
-  // (no bindings, no registered holders) — a live resharding would need a
-  // rebalance protocol this reproduction does not model. `simulation` and
-  // `network` are required when leases or the lookup-service model are on
-  // (invalidation pushes travel the simulated network; modelled lookups need
-  // the clock); `shard_nodes` then names the sim host of each shard, in
-  // shard order.
-  [[nodiscard]] Status Configure(const DirectoryConfig& config,
-                                 sim::Simulation* simulation,
-                                 sim::SimNetwork* network,
+  // Attaches the directory to `network`: shard count, ring points, lookup
+  // service time, lease duration and invalidation size come from
+  // network->cost_model(), the clock from network->simulation(). Must be
+  // called while the directory is empty (no bindings, no registered
+  // holders) — a live resharding would need a rebalance protocol this
+  // reproduction does not model. When leases or the lookup-service model are
+  // on, `shard_nodes` names the sim host of each shard, in shard order.
+  [[nodiscard]] Status Configure(sim::SimNetwork* network,
                                  std::vector<sim::NodeId> shard_nodes);
 
   // Registers or replaces the authoritative binding for `id`. A replacement
@@ -131,16 +103,12 @@ class BindingAgent {
                                                       sim::SimTime* expiry);
 
   // Modelled lookup: the request queues behind the owning shard's other
-  // in-progress lookups, occupies the shard for lookup_service, and then
-  // completes (`done` runs at completion time). With holder != 0 the lookup
-  // is lease-granting. Falls back to an immediate synchronous resolution
-  // when the service model is off. `client` is the calling node; with
-  // remote_requests the lookup travels the network as a request message to
-  // the shard's host and the answer returns the same way (so the queueing at
-  // busy_until happens in NIC-serialized arrival order), otherwise it only
-  // labels the caller.
+  // in-progress lookups, occupies the shard for directory_lookup_service,
+  // and then completes (`done` runs at completion time). With holder != 0
+  // the lookup is lease-granting. Falls back to an immediate synchronous
+  // resolution when the service model is off.
   void AsyncLookup(const ObjectId& id, std::uint64_t holder,
-                   sim::NodeId client, LookupCallback done);
+                   LookupCallback done);
 
   // Leaseholder registry (BindingCache constructor/destructor). The returned
   // handle is never reused; 0 is never a valid handle.
@@ -153,15 +121,16 @@ class BindingAgent {
   std::size_t size() const;
 
   bool leases_enabled() const {
-    return config_.lease_duration > sim::SimDuration::Zero() &&
-           network_ != nullptr;
+    return network_ != nullptr &&
+           cost().binding_lease_duration > sim::SimDuration::Zero();
   }
   bool lookup_service_modeled() const {
-    return config_.lookup_service > sim::SimDuration::Zero() &&
-           simulation_ != nullptr;
+    return network_ != nullptr &&
+           cost().directory_lookup_service > sim::SimDuration::Zero();
   }
-  sim::Simulation* simulation() const { return simulation_; }
-  const DirectoryConfig& config() const { return config_; }
+  sim::Simulation* simulation() const {
+    return network_ == nullptr ? nullptr : &network_->simulation();
+  }
 
   int shard_count() const { return map_.shard_count(); }
   std::size_t shard_size(int shard) const {
@@ -200,6 +169,8 @@ class BindingAgent {
     InvalidationSink* sink = nullptr;
   };
 
+  // Only meaningful once Configure attached a network.
+  const sim::CostModel& cost() const { return network_->cost_model(); }
   std::size_t ShardIndex(const ObjectId& id) const {
     return static_cast<std::size_t>(map_.ShardFor(id));
   }
@@ -216,14 +187,12 @@ class BindingAgent {
                            const ObjectAddress& address, bool has_fresh,
                            sim::SimTime lease_expiry);
 
-  DirectoryConfig config_;
   ShardMap map_;
   // Shard holds an atomic counter, so the vector is sized in one shot
   // (vector(n), default-inserted in place) and never resized afterwards —
   // which also keeps the shard references captured by in-flight modelled
   // lookups stable.
   std::vector<Shard> shards_ = std::vector<Shard>(1);
-  sim::Simulation* simulation_ = nullptr;
   sim::SimNetwork* network_ = nullptr;
   // Holder handles are looked up point-wise (never iterated): registration
   // order must not influence push order, which is fixed by LeaseTable's

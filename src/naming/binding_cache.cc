@@ -175,7 +175,7 @@ void BindingCache::RefreshFromAgentAsync(
   DCDO_TRACE_HOOK(metrics().GetCounter("naming.refreshes").Increment());
   Invalidate(id);
   agent_.AsyncLookup(
-      id, holder_, node_,
+      id, holder_,
       [this, id, done = std::move(done)](Result<ObjectAddress> address,
                                          sim::SimTime expiry) {
         if (!address.ok()) {

@@ -177,20 +177,13 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
   // — config-plane methods (dcdo.*/mgr.*), serialized endpoints, an endpoint
   // not (yet) registered — is tagged global.
   std::uint32_t dispatch_affinity = sim::kAffinityGlobal;
-  const bool config_plane = IsConfigMethodName(invocation.method_name());
   if (auto ep = endpoints_.find({to_node, to_pid});
       ep != endpoints_.end() &&
       ep->second.concurrency == EndpointConcurrency::kParallel &&
-      !config_plane) {
+      !IsConfigMethodName(invocation.method_name())) {
     dispatch_affinity = static_cast<std::uint32_t>(to_node);
   }
   const std::uint32_t reply_affinity = simulation.CurrentAffinity();
-  // Formation hint: config-plane calls (dcdo.*/mgr.*) are the latency-
-  // sensitive minority — under the adaptive formation policy they must not
-  // sit out a coalescing window behind data-plane traffic.
-  const sim::SimNetwork::SendClass send_class =
-      config_plane ? sim::SimNetwork::SendClass::kUrgent
-                   : sim::SimNetwork::SendClass::kNormal;
 
   // The send span covers marshaling and the hand-off to the network; the
   // net.xfer span begun inside network_.Send nests under it via the scope
@@ -446,7 +439,7 @@ void RpcTransport::Invoke(sim::NodeId from_node, sim::NodeId to_node,
         it->second.handler(invocation, std::move(wire_reply));
         if (tr != nullptr) tr->PopScope();
       },
-      dispatch_affinity, send_class);
+      dispatch_affinity);
   if (auto* tr = trace::ActiveContext()) {
     tr->PopScope();
     tr->EndSpan(send_span);

@@ -71,9 +71,8 @@ Testbed::Testbed(const Options& options) : cost_model_(options.cost_model) {
       shard_nodes.push_back(node);
     }
     Status configured =
-        agent_.Configure(DirectoryConfig::FromCostModel(cost_model_),
-                         &simulation_, network_.get(), std::move(shard_nodes));
-    // The config came from a cost model the caller controls; surface a bad
+        agent_.Configure(network_.get(), std::move(shard_nodes));
+    // The layout comes from a cost model the caller controls; surface a bad
     // one loudly instead of silently running the legacy directory.
     if (!configured.ok()) {
       DCDO_LOG(kError) << "testbed: directory configuration rejected: "

@@ -51,17 +51,6 @@ struct CostModel {
   // A batch is flushed early once it accumulates this many payload bytes,
   // bounding the latency a full pipeline adds to the first message.
   std::size_t send_batch_max_bytes = 64 * 1024;
-  // Adaptive formation policy over the batching window (cortx-motr
-  // rpc/formation.c shape: form by size, deadline, or urgency). When on,
-  // senders may tag a message urgent — config-plane invocations and
-  // protocol-critical notices — and an urgent message flushes the pending
-  // batch to its destination and ships with it immediately instead of
-  // waiting out the window; bulk traffic keeps coalescing. NOTE: a
-  // deployment knob, NOT a calibration constant — off (with batching off)
-  // reproduces the per-message legacy path byte for byte; EXPERIMENTS.md E16
-  // measures when turning it on wins. No effect while send_batch_window is
-  // zero.
-  bool formation_policy = false;
 
   // --- Binding cache bound (client-side LRU; see naming/binding_cache) ---
   // Generous by default: eviction only matters under millions of distinct
@@ -179,14 +168,6 @@ struct CostModel {
   SimDuration binding_lease_duration = SimDuration::Zero();
   // Wire size of one invalidation notification (ObjectId + address + lease).
   std::size_t invalidation_bytes = 64;
-
-  // Route directory lookups as real request messages to the shard's host
-  // instead of mutating the shard's service queue from the client's context;
-  // the shard's NIC then serializes concurrent lookups deterministically.
-  // Off by default — the in-place model stays byte-identical to PR 7.
-  bool directory_remote_requests = false;
-  // Wire size of one directory lookup request (ObjectId + holder id).
-  std::size_t directory_request_bytes = 64;
 
   // --- State capture / restore for monolithic evolution ---
   double state_capture_bytes_per_sec = 6.0e6;

@@ -82,7 +82,7 @@ bool SimNetwork::Reachable(NodeId from, NodeId to) const {
 
 void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
                       Delivery on_delivery, std::uint32_t delivery_affinity,
-                      SendClass send_class) {
+                      SendClass /*send_class*/) {
   if (!Reachable(from, to)) {
     messages_dropped_.Increment();
     TraceSendDrop(from, to);
@@ -98,6 +98,7 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
     PendingBatch& batch = it->second;
     if (opened) {
       batch.id = sender.next_batch_id++;
+      batch.affinity = delivery_affinity;
       // The flush event carries the sender's affinity: it reads and ships
       // this node's batch/NIC state.
       simulation_.ScheduleFor(from, cost_.send_batch_window,
@@ -108,15 +109,8 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
       messages_coalesced_.Increment();
     }
     batch.bytes += bytes;
-    batch.deliveries.push_back({std::move(on_delivery), delivery_affinity});
-    // Formation policy: urgent traffic ships now (the whole pending batch
-    // rides with it); coalesce-class traffic defers even the byte cap to the
-    // window deadline so bulk-adjacent chatter forms the largest batches.
-    const bool urgent =
-        cost_.formation_policy && send_class == SendClass::kUrgent;
-    const bool defer_cap =
-        cost_.formation_policy && send_class == SendClass::kCoalesce;
-    if (urgent || (!defer_cap && batch.bytes >= cost_.send_batch_max_bytes)) {
+    batch.deliveries.push_back(std::move(on_delivery));
+    if (batch.bytes >= cost_.send_batch_max_bytes) {
       FlushBatch(from, to, batch.id);  // the armed window flush will no-op
     }
     return;
@@ -133,19 +127,10 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
                             });
     return;
   }
-  // NIC serialization: back-to-back sends from one node queue behind each
-  // other at wire speed.
-  SimTime now = simulation_.Now();
-  SimTime& busy_until = nic_busy_until_[from];
-  SimTime start = std::max(now, busy_until);
-  SimDuration wire = SimDuration::Seconds(
-      static_cast<double>(bytes) / cost_.wire_bandwidth_bytes_per_sec);
-  busy_until = start + wire;
-  SimTime delivered = busy_until + cost_.network_latency;
   // Re-check reachability at delivery time: a partition that forms while the
   // message is in flight loses the message.
   simulation_.ScheduleAtFor(
-      delivery_affinity, delivered,
+      delivery_affinity, WireArrival(from, to, bytes),
       [this, from, to, span, fn = std::move(on_delivery)]() mutable {
         messages_in_flight_.Decrement();
         if (!Reachable(from, to)) {
@@ -160,80 +145,43 @@ void SimNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
       });
 }
 
+SimTime SimNetwork::WireArrival(NodeId from, NodeId to, std::size_t bytes) {
+  if (from == to) return simulation_.Now() + SimDuration::Micros(5);
+  // NIC serialization: back-to-back sends from one node queue behind each
+  // other at wire speed.
+  SimTime& busy_until = nic_busy_until_[from];
+  SimTime start = std::max(simulation_.Now(), busy_until);
+  SimDuration wire = SimDuration::Seconds(
+      static_cast<double>(bytes) / cost_.wire_bandwidth_bytes_per_sec);
+  busy_until = start + wire;
+  return busy_until + cost_.network_latency;
+}
+
 void SimNetwork::FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id) {
   std::map<NodeId, PendingBatch>& by_dest = pending_batches_[from].by_dest;
   auto it = by_dest.find(to);
-  // A byte-cap/urgent flush may have shipped this batch already (and a
-  // successor may have opened since); the stale window event must not touch
-  // it.
+  // A byte-cap flush may have shipped this batch already (and a successor
+  // may have opened since); the stale window event must not touch it.
   if (it == by_dest.end() || it->second.id != batch_id) return;
   PendingBatch batch = std::move(it->second);
   by_dest.erase(it);
-  DispatchBatch(from, to, batch.bytes, std::move(batch.deliveries));
-}
-
-void SimNetwork::DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
-                               std::vector<BatchEntry> deliveries) {
   batches_sent_.Increment();
-  std::uint64_t span = BeginTransferSpan("net.batch", from, bytes);
-  // The batch crosses the NIC as one transfer, but each message keeps the
-  // digest affinity its sender named: group the deliveries by affinity
-  // (stable, first-appearance order — a single-affinity batch stays one
-  // event, byte-identical to the ungrouped behavior) and give each group its
-  // own delivery event at the batch's single arrival instant.
-  struct Group {
-    std::uint32_t affinity;
-    std::vector<Delivery> fns;
-  };
-  std::vector<Group> groups;
-  for (BatchEntry& entry : deliveries) {
-    Group* group = nullptr;
-    for (Group& g : groups) {
-      if (g.affinity == entry.affinity) {
-        group = &g;
-        break;
-      }
-    }
-    if (group == nullptr) {
-      groups.push_back({entry.affinity, {}});
-      group = &groups.back();
-    }
-    group->fns.push_back(std::move(entry.fn));
-  }
-  auto make_deliver = [this, from, to](std::uint64_t group_span,
-                                       std::vector<Delivery> fns) {
-    return [this, from, to, group_span, fns = std::move(fns)]() mutable {
-      messages_in_flight_.Decrement(fns.size());
-      if (!Reachable(from, to)) {
-        messages_dropped_.Increment(fns.size());
-        messages_dropped_in_flight_.Increment(fns.size());
-        EndTransferSpan(group_span, /*delivered=*/false);
-        return;
-      }
-      messages_delivered_.Increment(fns.size());
-      EndTransferSpan(group_span, /*delivered=*/true);
-      for (Delivery& fn : fns) fn();
-    };
-  };
-  SimTime arrival;
-  if (from == to) {
-    arrival = simulation_.Now() + SimDuration::Micros(5);
-  } else {
-    SimTime now = simulation_.Now();
-    SimTime& busy_until = nic_busy_until_[from];
-    SimTime start = std::max(now, busy_until);
-    SimDuration wire = SimDuration::Seconds(
-        static_cast<double>(bytes) / cost_.wire_bandwidth_bytes_per_sec);
-    busy_until = start + wire;
-    arrival = busy_until + cost_.network_latency;
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    // The net.batch span closes with the first group (one span per wire
-    // transfer; every group arrives at the same instant).
-    simulation_.ScheduleAtFor(
-        groups[i].affinity, arrival,
-        make_deliver(i == 0 ? span : 0, std::move(groups[i].fns)));
-  }
+  std::uint64_t span = BeginTransferSpan("net.batch", from, batch.bytes);
+  // One wire transfer, one delivery event: the messages run in send order.
+  simulation_.ScheduleAtFor(
+      batch.affinity, WireArrival(from, to, batch.bytes),
+      [this, from, to, span, fns = std::move(batch.deliveries)]() mutable {
+        messages_in_flight_.Decrement(fns.size());
+        if (!Reachable(from, to)) {
+          messages_dropped_.Increment(fns.size());
+          messages_dropped_in_flight_.Increment(fns.size());
+          EndTransferSpan(span, /*delivered=*/false);
+          return;
+        }
+        messages_delivered_.Increment(fns.size());
+        EndTransferSpan(span, /*delivered=*/true);
+        for (Delivery& fn : fns) fn();
+      });
 }
 
 void SimNetwork::BulkTransfer(NodeId from, NodeId to, std::size_t bytes,

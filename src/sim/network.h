@@ -60,34 +60,25 @@ class SimNetwork {
   //
   // When CostModel::send_batch_window is non-zero, back-to-back sends to the
   // same destination are coalesced: the first message opens a batch and arms
-  // a flush at now + window; follow-ups append until the window fires, the
-  // batch reaches send_batch_max_bytes, or (formation_policy) an urgent
-  // message arrives. The whole batch then crosses the NIC as one transfer
-  // (one serialization + one latency), and reachability is re-checked once
-  // at delivery — a partition that forms in flight drops every message in
-  // the batch. Per-message counters are maintained either way. With a zero
-  // window (the default) each message takes the exact legacy path.
+  // a flush at now + window; follow-ups append until the window fires or the
+  // batch reaches send_batch_max_bytes. The whole batch then crosses the NIC
+  // as one transfer (one serialization + one latency) and lands as one
+  // delivery event that runs its messages in send order; reachability is
+  // re-checked once at delivery — a partition that forms in flight drops
+  // every message in the batch. Per-message counters are maintained either
+  // way. With a zero window (the default) each message takes the exact
+  // legacy path.
   //
   // The delivery event is tagged with the destination node's affinity (a
   // determinism-digest tag, no effect on execution; see Simulation). The
   // overload takes an explicit affinity for callers whose delivery resumes
   // control-plane work (an RPC reply resuming a continuation passes
-  // kAffinityGlobal). Each message keeps its own affinity through a batch:
-  // at flush, deliveries are grouped by affinity (first-appearance order)
-  // and each group lands as one event, all at the batch's single arrival
-  // time — a single-affinity batch is byte-identical to the pre-grouping
-  // behavior.
+  // kAffinityGlobal). A batch's event carries the affinity of its first
+  // message.
   //
-  // SendClass is the adaptive-formation hint (CostModel::formation_policy):
-  // kUrgent marks latency-sensitive traffic (the transport tags config-plane
-  // invocations) that must not sit out a formation window — it flushes the
-  // pending batch immediately, riding along with it. kCoalesce marks
-  // deadline-insensitive traffic (bulk-adjacent control chatter): it never
-  // triggers the byte-cap early flush itself, so larger batches form and
-  // ship on the window deadline (or when normal/urgent traffic arrives
-  // behind it). kNormal obeys the window/byte rules unmodified. With
-  // formation_policy off the class is ignored.
-  enum class SendClass { kNormal, kUrgent, kCoalesce };
+  // SendClass has the single value kNormal and changes nothing;
+  // e2ebench/wrappers.cc links Send by a mangled name that contains it.
+  enum class SendClass { kNormal };
 
   void Send(NodeId from, NodeId to, std::size_t bytes, Delivery on_delivery) {
     Send(from, to, bytes, std::move(on_delivery), to);
@@ -162,19 +153,11 @@ class SimNetwork {
   }
 
  private:
-  // One coalesced message: its delivery closure plus the affinity its
-  // delivery event must carry. Batches mix affinities (a node's outbound
-  // traffic interleaves data-plane requests and control-plane replies), so
-  // the affinity rides per delivery and the determinism digest sees the
-  // same tags batched or not.
-  struct BatchEntry {
-    Delivery fn;
-    std::uint32_t affinity;
-  };
   struct PendingBatch {
     std::uint64_t id = 0;  // guards the armed flush against early flushes
+    std::uint32_t affinity = 0;  // the first message's delivery affinity
     std::size_t bytes = 0;
-    std::vector<BatchEntry> deliveries;
+    std::vector<Delivery> deliveries;  // in send order
   };
 
   // One fair-shared bulk stream (StreamTransfer). `remaining`/`rate` are
@@ -194,9 +177,11 @@ class SimNetwork {
     std::uint64_t span = 0;
   };
 
-  // Ships `deliveries` (already counted as sent/in-flight) as one transfer.
-  void DispatchBatch(NodeId from, NodeId to, std::size_t bytes,
-                     std::vector<BatchEntry> deliveries);
+  // Charges the wire for `bytes` from -> to (sender-NIC serialization plus
+  // latency; a fixed 5 us on loopback) and returns the arrival time.
+  SimTime WireArrival(NodeId from, NodeId to, std::size_t bytes);
+  // Ships the pending batch `batch_id` (already counted as sent/in-flight)
+  // as one transfer; a no-op if that batch has already shipped.
   void FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id);
 
   // Stream-phase machinery: move a flow out of setup into the shared phase,

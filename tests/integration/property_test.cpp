@@ -6,6 +6,7 @@
 //     the exported-interface contract implied by mandatory marks.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "core/manager.h"
@@ -94,6 +95,12 @@ struct PolicyCase {
   const char* label;
   std::unique_ptr<EvolutionPolicy> (*make)();
 };
+
+// gtest appends the printed parameter to each test name; without this it
+// prints the struct's raw pointer bytes, which move with the binary layout.
+void PrintTo(const PolicyCase& policy_case, std::ostream* os) {
+  *os << policy_case.label;
+}
 
 std::unique_ptr<EvolutionPolicy> MakeLazyK3() {
   return MakeSingleVersionLazyEveryK(3);

@@ -50,6 +50,39 @@ TEST(BindingAgentTest, CountsLookups) {
   EXPECT_EQ(agent.lookups_served(), 2u);
 }
 
+// Configure reads the layout from the network's cost model and refuses one
+// it cannot serve, including a shard-host list longer than the shard count.
+TEST(BindingAgentTest, ConfigureValidatesTheLayout) {
+  sim::Simulation simulation;
+  BindingAgent agent;
+  EXPECT_EQ(agent.Configure(nullptr, {}).code(), ErrorCode::kInvalidArgument);
+
+  sim::CostModel no_shards;
+  no_shards.naming_shard_count = 0;
+  sim::SimNetwork unshardable(&simulation, no_shards);
+  EXPECT_EQ(agent.Configure(&unshardable, {}).code(),
+            ErrorCode::kInvalidArgument);
+
+  sim::SimNetwork plain(&simulation, sim::CostModel{});
+  EXPECT_EQ(agent.Configure(&plain, {9, 10}).code(),
+            ErrorCode::kInvalidArgument);
+
+  sim::CostModel leased;
+  leased.naming_shard_count = 2;
+  leased.binding_lease_duration = sim::SimDuration::Seconds(60.0);
+  sim::SimNetwork network(&simulation, leased);
+  EXPECT_EQ(agent.Configure(&network, {9}).code(),
+            ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(agent.Configure(&network, {9, 10}).ok());
+  EXPECT_EQ(agent.shard_count(), 2);
+  EXPECT_TRUE(agent.leases_enabled());
+  EXPECT_FALSE(agent.lookup_service_modeled());
+
+  agent.Bind(ObjectId::Next(domains::kInstance), ObjectAddress{1, 42, 1});
+  EXPECT_EQ(agent.Configure(&network, {9, 10}).code(),
+            ErrorCode::kFailedPrecondition);
+}
+
 TEST(AddressTest, ValidityAndFormat) {
   EXPECT_FALSE(ObjectAddress::Invalid().valid());
   ObjectAddress address{3, 17, 2};

@@ -33,10 +33,7 @@ class LeaseTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    DirectoryConfig config;
-    config.lease_duration = kLease;
-    ASSERT_TRUE(
-        agent_.Configure(config, &simulation_, &network_, {kShardNode}).ok());
+    ASSERT_TRUE(agent_.Configure(&network_, {kShardNode}).ok());
   }
 
   // Lets `duration` of sim time elapse (an empty event pins the clock).

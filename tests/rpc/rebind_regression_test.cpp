@@ -59,10 +59,7 @@ class RebindRegressionTest : public ::testing::TestWithParam<int> {
   }
 
   void SetUp() override {
-    DirectoryConfig config;
-    config.lease_duration = sim::SimDuration::Seconds(300.0);
-    ASSERT_TRUE(
-        agent_.Configure(config, &simulation_, &network_, {kShardNode}).ok());
+    ASSERT_TRUE(agent_.Configure(&network_, {kShardNode}).ok());
     // After Configure: the client's cache registers as a leaseholder only if
     // the agent already grants leases when the client is built.
     client_ = std::make_unique<RpcClient>(&transport_, &agent_, kClientNode);

@@ -58,9 +58,7 @@ ScenarioOutcome RunKillRestart(int stale_retry_count) {
   network.AddNode(kShardNode);
 
   BindingAgent agent;
-  DirectoryConfig config;
-  config.lease_duration = sim::SimDuration::Seconds(300.0);
-  EXPECT_TRUE(agent.Configure(config, &simulation, &network, {kShardNode}).ok());
+  EXPECT_TRUE(agent.Configure(&network, {kShardNode}).ok());
   RpcClient client(&transport, &agent, kClientNode);
 
   ObjectId target = ObjectId::Next(domains::kInstance);

@@ -203,7 +203,11 @@ constexpr Pinned kFetchChurnPipelined = {11990163674873321486ull, 97ull,
                                          16991345864, 10806504725990349857ull};
 constexpr Pinned kFetchChurnSequential = {7900643515657299457ull, 103ull,
                                           21134985962, 10806504725990349857ull};
-constexpr Pinned kRebindStorm = {8092399305201976719ull, 144ull, 3586720,
+// kRebindStorm was re-captured once when the remote directory-lookup model
+// was retired: the previous implementation, run with the scenario's lookups
+// switched to in-place shard queueing, produced this value, and the
+// implementation without the remote model must reproduce it byte for byte.
+constexpr Pinned kRebindStorm = {12624792850163606884ull, 96ull, 2976480,
                                  5379307963124079595ull};
 constexpr Pinned kCoordinatorBatches = {1602434531113269194ull, 10ull,
                                         4811245836, 11468531600831910452ull};

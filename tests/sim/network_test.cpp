@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dcdo::sim {
 namespace {
 
@@ -251,6 +253,20 @@ TEST_F(BatchingNetworkTest, LoopbackBatchesToo) {
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(network_.batches_sent(), 1u);
   EXPECT_EQ(network_.messages_coalesced(), 1u);
+}
+
+// A batch is one wire transfer and lands as one delivery event, so mixed
+// delivery affinities (a digest tag only) cannot reorder it: the messages
+// run in the order they were sent.
+TEST_F(BatchingNetworkTest, MixedAffinityBatchDeliversInSendOrder) {
+  std::string order;
+  network_.Send(1, 2, 100, [&] { order += 'A'; }, /*delivery_affinity=*/7);
+  network_.Send(1, 2, 100, [&] { order += 'B'; }, kAffinityGlobal);
+  network_.Send(1, 2, 100, [&] { order += 'C'; }, /*delivery_affinity=*/7);
+  simulation_.Run();
+  EXPECT_EQ(order, "ABC");
+  EXPECT_EQ(network_.batches_sent(), 1u);
+  EXPECT_EQ(network_.messages_coalesced(), 2u);
 }
 
 // ===== StreamTransfer: fair-shared link capacity =====

@@ -170,7 +170,7 @@ inline RunSummary RunFetchChurn(int fetch_concurrency = 8) {
   return summary;
 }
 
-// ===== E14: rebind storm over the leased, sharded, remote directory ========
+// ===== E14: rebind storm over the leased, sharded directory ================
 
 inline RunSummary RunRebindStorm() {
   ObjectId::ResetCounterForTest();
@@ -180,10 +180,8 @@ inline RunSummary RunRebindStorm() {
   options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
   options.cost_model.naming_shard_count = 2;
   options.cost_model.binding_lease_duration = sim::SimDuration::Seconds(60.0);
-  // The modelled per-lookup service time, routed as real request messages to
-  // the shard hosts.
+  // The modelled per-lookup service time: lookups queue on their shard.
   options.cost_model.directory_lookup_service = sim::SimDuration::Micros(100);
-  options.cost_model.directory_remote_requests = true;
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);
   BindingAgent& agent = testbed.agent();
@@ -260,9 +258,9 @@ inline RunSummary RunRebindStorm() {
 // ===== E16-shaped batched + sessioned RPC traffic ==========================
 //
 // Data-plane calls to kParallel endpoints (delivery affinity = destination
-// node) interleave with urgent config-plane calls (delivery affinity =
-// global) from the same senders, so one batch carries mixed affinities and
-// the flush groups them; sessions bound the in-flight calls per client.
+// node) interleave with config-plane calls (delivery affinity = global) from
+// the same senders, so one batch carries mixed affinities and lands as one
+// event in send order; sessions bound the in-flight calls per client.
 inline RunSummary RunBatchedSessionTraffic() {
   ObjectId::ResetCounterForTest();
 
@@ -270,7 +268,6 @@ inline RunSummary RunBatchedSessionTraffic() {
   options.host_count = 8;
   options.check_options.cadence = check::CheckContext::Cadence::kEveryEvent;
   options.cost_model.send_batch_window = sim::SimDuration::Millis(1);
-  options.cost_model.formation_policy = true;
   options.cost_model.session_slots = 2;
   Testbed testbed(options);
   testbed.simulation().EnableDeterminismDigest(true);
@@ -300,10 +297,9 @@ inline RunSummary RunBatchedSessionTraffic() {
 
   // Four clients on nodes 5..8. Each round sends a back-to-back burst to one
   // target — six data-plane calls (twice the slot bound, so admission
-  // queues) plus a config-plane call that the formation policy flushes
-  // urgently — forming mixed-affinity batches on the (client node, server
-  // node) lane. The 350 us per-call stagger lands 2-3 calls inside each 1 ms
-  // batch window, so coalescing stays exercised.
+  // queues) plus a config-plane call — forming mixed-affinity batches on the
+  // (client node, server node) lane. The 350 us per-call stagger lands 2-3
+  // calls inside each 1 ms batch window, so coalescing stays exercised.
   std::vector<std::unique_ptr<rpc::RpcClient>> clients;
   for (int c = 0; c < 4; ++c) {
     clients.push_back(std::make_unique<rpc::RpcClient>(
@@ -315,7 +311,7 @@ inline RunSummary RunBatchedSessionTraffic() {
       const ObjectId& target =
           targets[static_cast<std::size_t>((c + round) % kTargets)];
       for (int i = 0; i < 7; ++i) {
-        const bool poke = i == 6;  // the urgent config call rides last
+        const bool poke = i == 6;  // the config-plane call rides last
         const auto at = sim::SimDuration::Millis(10 * round) +
                         sim::SimDuration::Micros(100 * c + 350 * i);
         simulation.Schedule(at, [&, c, target, poke]() {
