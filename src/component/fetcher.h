@@ -7,19 +7,21 @@
 // and DcdoManager::MigrateInstance:
 //
 //   * bounded concurrency — at most CostModel::fetch_concurrency ICO streams
-//     in flight per destination host; further requests queue FIFO;
+//     in flight per destination host, across all of its requests; further
+//     requests queue FIFO;
 //   * single-flight dedup — concurrent requests for the same
 //     (host, component) join the one open stream instead of downloading the
 //     image twice (two DCDOs activating on one host share each transfer);
 //   * completion-order delivery — the caller's on_ready runs as each image
 //     lands, not in request-list order; the terminal done runs once every
-//     component in the batch has been dealt with.
+//     component in the batch has been dealt with;
+//   * answered failures — a stream that cannot reach the destination, or is
+//     lost in flight, settles with a Status naming the component.
 //
-// fetch_concurrency == 1 (the calibrated default) takes a separate sequential
-// path that reproduces the legacy chains' cost accounting byte for byte:
-// components processed back-to-front, one blocking FetchTo at a time, no
-// sharing, no dedup. The pipeline (and SimNetwork's fair-shared streaming)
-// only engages when a deployment opts in with a higher bound.
+// Every fetch is an ImplementationComponentObject::StreamTo over
+// SimNetwork's fair-shared streams. At the default fetch_concurrency of 1 a
+// host runs one stream at a time, so a lone acquisition costs exactly the
+// paper's sequential per-component download (DESIGN.md §10).
 #pragma once
 
 #include <functional>
@@ -91,8 +93,8 @@ class ComponentFetcher {
 
   // Warms `dest`'s cache with `components` ahead of need: best-effort, no
   // completion signal, and a later AcquireAll for the same components joins
-  // the in-flight streams via single-flight. No-op at fetch_concurrency 1 —
-  // the sequential calibration must not see extra transfers.
+  // the in-flight streams via single-flight. No-op at fetch_concurrency 1,
+  // where a prefetch would only queue ahead of the acquisition it warms.
   void Prefetch(sim::SimHost* dest,
                 std::vector<ImplementationComponent> components);
 

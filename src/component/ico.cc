@@ -45,51 +45,25 @@ ImplementationComponentObject::~ImplementationComponentObject() {
   (void)host_.KillProcess(pid_);
 }
 
-void ImplementationComponentObject::BeginServing(const sim::SimHost& dest) {
-  fetches_served_.Increment();
-  DCDO_TRACE_HOOK(metrics().GetCounter("ico.fetches_served").Increment());
-  DCDO_LOG(kDebug) << "ico " << component_.name << ": streaming "
-                   << component_.code_bytes << "B to node " << dest.node();
-}
-
-void ImplementationComponentObject::FetchTo(sim::SimHost* dest,
-                                            std::function<void(Status)> done) {
-  if (dest->ComponentCached(component_.id)) {
-    done(Status::Ok());
-    return;
-  }
-  BeginServing(*dest);
-  ObjectId component_id = component_.id;
-  std::size_t bytes = component_.code_bytes;
-  // Components stream object-to-object (session overhead + fast streaming),
-  // not through the slow file-object path executables use.
-  sim::SimDuration duration =
-      (host_.node() == dest->node())
-          ? host_.cost_model().DiskRead(bytes)
-          : host_.cost_model().ComponentDownloadTime(bytes);
-  host_.network().TimedTransfer(
-      host_.node(), dest->node(), bytes, duration,
-      [dest, component_id, bytes, done = std::move(done)]() {
-        dest->CacheComponent(component_id, bytes);
-        done(Status::Ok());
-      });
-}
-
 void ImplementationComponentObject::StreamTo(sim::SimHost* dest,
                                              std::function<void(Status)> done) {
   if (dest->ComponentCached(component_.id)) {
     done(Status::Ok());
     return;
   }
-  BeginServing(*dest);
+  fetches_served_.Increment();
+  DCDO_TRACE_HOOK(metrics().GetCounter("ico.fetches_served").Increment());
+  DCDO_LOG(kDebug) << "ico " << component_.name << ": streaming "
+                   << component_.code_bytes << "B to node " << dest->node();
   ObjectId component_id = component_.id;
   std::string name = component_.name;
   std::size_t bytes = component_.code_bytes;
   const sim::CostModel& cost = host_.cost_model();
-  // Same cost decomposition as ComponentDownloadTime, re-expressed for the
-  // fair-shared link: the per-component session overhead is the fixed setup,
-  // the image then streams at up to efficiency × wire speed. A solo stream
-  // therefore lands at exactly the FetchTo duration.
+  // Components stream object-to-object, not through the slow file-object
+  // path executables use. ComponentDownloadTime re-expressed for the
+  // fair-shared link: the per-component session overhead is the fixed
+  // setup, then the image streams at up to efficiency × wire speed, so a
+  // solo stream lands at exactly ComponentDownloadTime.
   bool local = host_.node() == dest->node();
   sim::SimDuration setup =
       local ? cost.DiskRead(bytes) : cost.component_fetch_overhead;

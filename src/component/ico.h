@@ -47,27 +47,18 @@ class ImplementationComponentObject {
   sim::NodeId node() const { return host_.node(); }
 
   // Streams the component image to `dest`'s component cache; `done` runs when
-  // the image is cached there (or immediately if already cached). The caller
-  // observes the download time the paper describes for non-cached components.
-  // This is the sequential (fetch_concurrency = 1) path: a fixed
-  // caller-computed duration through TimedTransfer, byte-identical to the
-  // paper calibration, and an unreachable destination silently drops the
-  // continuation (the requester's timeout reports it, as on a real LAN).
-  void FetchTo(sim::SimHost* dest, std::function<void(Status)> done);
-
-  // Pipeline variant: same cost model, but routed through
-  // SimNetwork::StreamTransfer so concurrent fetches fair-share the wire,
-  // and failures (unreachable, dropped in flight) come back as a Status
-  // naming this component instead of a hang. Used by ComponentFetcher when
-  // fetch_concurrency > 1.
+  // the image is cached there (immediately if it already was). The caller
+  // observes the download time the paper describes for non-cached
+  // components: the transfer goes through SimNetwork::StreamTransfer, so a
+  // lone stream costs exactly CostModel::ComponentDownloadTime (DiskRead on
+  // the ICO's own host) and concurrent streams fair-share the wire. Failures
+  // (unreachable, dropped in flight) come back as a Status naming this
+  // component and the destination.
   void StreamTo(sim::SimHost* dest, std::function<void(Status)> done);
 
   std::uint64_t fetches_served() const { return fetches_served_.value(); }
 
  private:
-  // Accounting shared by FetchTo/StreamTo once the cache miss is committed.
-  void BeginServing(const sim::SimHost& dest);
-
   sim::SimHost& host_;
   rpc::RpcTransport& transport_;
   BindingAgent& agent_;

@@ -83,13 +83,15 @@ struct CostModel {
   // --- Component acquisition pipeline (src/component/fetcher.*) ---
   // Maximum ICO fetch streams a destination host keeps in flight while
   // acquiring components (DCDO creation, evolution, migration warm-up).
+  // The bound is per host, across every request that host has open; all
+  // acquisitions share one pipeline (single-flight per-host dedup,
+  // fair-shared links) whatever the value.
   // NOTE: this is a modelled-hardware/deployment knob, NOT a calibration
   // constant. 1 (the default) reproduces the paper's strictly sequential
   // acquisition — and its ~10 s / 50-component creation figure — byte for
-  // byte; values > 1 opt the deployment into the overlapped pipeline
-  // (bounded concurrency, single-flight per-host dedup, fair-shared links)
-  // measured by EXPERIMENTS.md E13. Re-calibrating against the paper never
-  // means touching this field.
+  // byte; values > 1 let a host overlap its downloads, as measured by
+  // EXPERIMENTS.md E13. Re-calibrating against the paper never means
+  // touching this field.
   int fetch_concurrency = 1;
   // Bound on distinct component images a host caches before LRU eviction
   // (0 = unbounded, mirroring binding_cache_capacity). Eviction is safe by

@@ -186,9 +186,33 @@ void SimNetwork::FlushBatch(NodeId from, NodeId to, std::uint64_t batch_id) {
 
 void SimNetwork::BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
                               Delivery on_done) {
-  SimDuration total = (from == to) ? cost_.DiskRead(bytes)  // local copy
-                                   : cost_.DownloadTime(bytes);
-  TimedTransfer(from, to, bytes, total, std::move(on_done));
+  if (!Reachable(from, to)) {
+    messages_dropped_.Increment();
+    TraceSendDrop(from, to);
+    return;
+  }
+  // Same accounting as Send(): bulk transfers are messages too, and the
+  // message-conservation invariant (sent == delivered + dropped-in-flight +
+  // in-flight) must hold across both traffic classes.
+  messages_sent_.Increment();
+  messages_in_flight_.Increment();
+  bytes_sent_.Increment(bytes);
+  std::uint64_t span = BeginTransferSpan("net.bulk", from, bytes);
+  SimDuration duration = (from == to) ? cost_.DiskRead(bytes)  // local copy
+                                      : cost_.DownloadTime(bytes);
+  simulation_.Schedule(
+      duration, [this, from, to, span, fn = std::move(on_done)]() mutable {
+        messages_in_flight_.Decrement();
+        if (!Reachable(from, to)) {
+          messages_dropped_.Increment();
+          messages_dropped_in_flight_.Increment();
+          EndTransferSpan(span, /*delivered=*/false);
+          return;
+        }
+        messages_delivered_.Increment();
+        EndTransferSpan(span, /*delivered=*/true);
+        fn();
+      });
 }
 
 void SimNetwork::StreamTransfer(NodeId from, NodeId to, std::size_t bytes,
@@ -325,35 +349,6 @@ void SimNetwork::FinishStream(std::uint64_t flow_id) {
   messages_delivered_.Increment();
   EndTransferSpan(span, /*delivered=*/true);
   on_done(true);
-}
-
-void SimNetwork::TimedTransfer(NodeId from, NodeId to, std::size_t bytes,
-                               SimDuration duration, Delivery on_done) {
-  if (!Reachable(from, to)) {
-    messages_dropped_.Increment();
-    TraceSendDrop(from, to);
-    return;
-  }
-  // Same accounting as Send(): bulk transfers are messages too, and the
-  // message-conservation invariant (sent == delivered + dropped-in-flight +
-  // in-flight) must hold across both traffic classes.
-  messages_sent_.Increment();
-  messages_in_flight_.Increment();
-  bytes_sent_.Increment(bytes);
-  std::uint64_t span = BeginTransferSpan("net.bulk", from, bytes);
-  simulation_.Schedule(
-      duration, [this, from, to, span, fn = std::move(on_done)]() mutable {
-        messages_in_flight_.Decrement();
-        if (!Reachable(from, to)) {
-          messages_dropped_.Increment();
-          messages_dropped_in_flight_.Increment();
-          EndTransferSpan(span, /*delivered=*/false);
-          return;
-        }
-        messages_delivered_.Increment();
-        EndTransferSpan(span, /*delivered=*/true);
-        fn();
-      });
 }
 
 }  // namespace dcdo::sim

@@ -1,14 +1,19 @@
 // SimNetwork: a switched-Ethernet model connecting simulated hosts.
 //
-// Two traffic classes, matching how Legion moves data:
-//   * Send():         small control messages (method invocations, replies) —
-//                     latency + serialization, with per-NIC queueing.
-//   * BulkTransfer(): implementation/component/state downloads — session
-//                     setup + goodput-limited streaming (CostModel).
+// Three traffic classes, matching how Legion moves data:
+//   * Send():           small control messages (method invocations,
+//                       replies) — latency + serialization, with per-NIC
+//                       queueing.
+//   * BulkTransfer():   executable and state downloads — session setup +
+//                       goodput-limited streaming through the file-object
+//                       path (CostModel::DownloadTime).
+//   * StreamTransfer(): component image downloads — fixed setup, then a
+//                       stream that fair-shares both endpoints' NICs.
 //
-// Failure injection: nodes can be marked down and node pairs partitioned;
-// traffic to an unreachable destination is silently dropped (the sender's
-// RPC timeout, not the network, reports the failure — as on a real LAN).
+// Failure injection: nodes can be marked down and node pairs partitioned.
+// Send and BulkTransfer traffic to an unreachable destination is silently
+// dropped (the sender's RPC timeout, not the network, reports the failure —
+// as on a real LAN); a stream always answers, with delivered = false.
 #pragma once
 
 #include <cstdint>
@@ -87,16 +92,13 @@ class SimNetwork {
             std::uint32_t delivery_affinity,
             SendClass send_class = SendClass::kNormal);
 
-  // Streams `bytes` from -> to through the bulk (file-object) path; `on_done`
-  // runs when the last byte lands. Dropped if unreachable at start.
+  // Streams `bytes` from -> to through the bulk (file-object) path in
+  // CostModel::DownloadTime (DiskRead on loopback); `on_done` runs when the
+  // last byte lands. Dropped, without calling back, if unreachable at start
+  // or when the last byte lands. Counted like Send: one message sent, then
+  // delivered or dropped in flight.
   void BulkTransfer(NodeId from, NodeId to, std::size_t bytes,
                     Delivery on_done);
-
-  // Transfer with a caller-computed duration (used by the component-fetch
-  // path, whose cost model differs from the file-object path). Same
-  // reachability semantics as BulkTransfer.
-  void TimedTransfer(NodeId from, NodeId to, std::size_t bytes,
-                     SimDuration duration, Delivery on_done);
 
   // `on_done(delivered)` — unlike Delivery, stream completions also report
   // failure (unreachable at start, dropped in flight) so the component
@@ -111,8 +113,8 @@ class SimNetwork {
   // divided by the busier of its two endpoints), and each stream is further
   // capped at `peak_bytes_per_sec` (the transfer protocol's efficiency
   // ceiling). Delivery lands `setup + stream + network_latency` after the
-  // call when the stream runs alone, so a solo stream costs exactly what the
-  // caller-computed TimedTransfer path charges. Loopback (from == to) skips
+  // call when the stream runs alone, so a solo stream costs exactly
+  // setup + bytes/peak + latency. Loopback (from == to) skips
   // the NIC entirely: the whole transfer is the fixed `setup` (callers pass
   // the disk-copy time).
   //

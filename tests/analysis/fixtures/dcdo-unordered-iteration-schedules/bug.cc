@@ -4,6 +4,7 @@
 // across libstdc++ versions, platforms, and insertion histories — so the
 // byte-identical SimTime_* baselines drift. PR 5's SimNetwork fair-share
 // recompute had to impose flow-id ordering for exactly this reason.
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -13,6 +14,11 @@ namespace fixture {
 
 struct Simulation {
   std::uint64_t Schedule(std::int64_t delay_ns, std::function<void()> fn);
+};
+
+struct Network {
+  void BulkTransfer(int from, int to, std::size_t bytes,
+                    std::function<void()> on_done);
 };
 
 struct Flow {
@@ -33,6 +39,13 @@ class FlowTable {
   void NotifyAll() {
     for (int node : dirty_nodes_) {  // expect: dcdo-unordered-iteration-schedules
       Send(node);
+    }
+  }
+
+  // Same hazard through a bulk-transfer sink.
+  void ShipAll(Network& net) {
+    for (int node : dirty_nodes_) {  // expect: dcdo-unordered-iteration-schedules
+      net.BulkTransfer(0, node, 4096, [] {});
     }
   }
 

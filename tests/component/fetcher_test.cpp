@@ -1,14 +1,18 @@
-// ComponentFetcher: the parallel acquisition pipeline.
+// ComponentFetcher: the component acquisition pipeline.
 //
-// The fetcher's contract has two halves. At fetch_concurrency 1 it must
-// reproduce the sequential chains it replaced exactly — the paper's ~10 s
-// DCDO creation figure is re-asserted here. Above 1, the pipeline must
-// overlap transfers under the fair-shared link model, coalesce co-hosted
-// requests for the same image into one stream, and still report failures
-// naming the exact component.
+// One pipeline serves every fetch_concurrency. At 1 it must reproduce the
+// paper's one-at-a-time acquisition — the ~10 s DCDO creation figure is
+// re-asserted here — with at most one stream per host. Above 1 it must
+// overlap transfers under the fair-shared link model and coalesce co-hosted
+// requests for the same image into one stream. At every concurrency it must
+// report a failed fetch naming the exact component.
 #include "component/fetcher.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
 
 #include "core/manager.h"
 #include "runtime/testbed.h"
@@ -65,48 +69,72 @@ class FetcherTest : public ::testing::Test {
 
 // Two instances of one type activating on the same host at the same time:
 // every component image crosses the wire exactly once — the second
-// instance's requests ride the first's open streams.
+// instance's requests ride the first's open streams. At concurrency 1 the
+// host also never runs more than one stream at a time.
 TEST_F(FetcherTest, SingleFlightSharesOneStreamAcrossInstances) {
-  Testbed testbed{Parallel(8)};
-  std::vector<ImplementationComponent> comps;
-  auto manager = MakeManager(testbed, "shared", 4, &comps);
+  for (int concurrency : {1, 8}) {
+    SCOPED_TRACE("concurrency " + std::to_string(concurrency));
+    Testbed testbed{Parallel(concurrency)};
+    std::vector<ImplementationComponent> comps;
+    auto manager = MakeManager(testbed, "shared", 4, &comps);
 
-  std::optional<Result<ObjectId>> first, second;
-  manager->CreateInstance(testbed.host(1),
-                          [&](Result<ObjectId> r) { first = r; });
-  manager->CreateInstance(testbed.host(1),
-                          [&](Result<ObjectId> r) { second = r; });
-  testbed.simulation().RunWhile(
-      [&] { return !first.has_value() || !second.has_value(); });
-  ASSERT_TRUE(first->ok()) << first->status().ToString();
-  ASSERT_TRUE(second->ok()) << second->status().ToString();
+    std::optional<Result<ObjectId>> first, second;
+    manager->CreateInstance(testbed.host(1),
+                            [&](Result<ObjectId> r) { first = r; });
+    manager->CreateInstance(testbed.host(1),
+                            [&](Result<ObjectId> r) { second = r; });
+    std::size_t peak_streams = 0;
+    testbed.simulation().RunWhile([&] {
+      peak_streams =
+          std::max(peak_streams, testbed.network().active_streams());
+      return !first.has_value() || !second.has_value();
+    });
+    ASSERT_TRUE(first.has_value() && second.has_value());
+    ASSERT_TRUE(first->ok()) << first->status().ToString();
+    ASSERT_TRUE(second->ok()) << second->status().ToString();
+    if (concurrency == 1) {
+      EXPECT_LE(peak_streams, 1u);
+    }
 
-  // One stream per unique component, ever.
-  for (const ImplementationComponent& comp : comps) {
-    ImplementationComponentObject* ico = *manager->icos().Find(comp.id);
-    EXPECT_EQ(ico->fetches_served(), 1u) << comp.name;
+    // One stream per unique component, ever.
+    for (const ImplementationComponent& comp : comps) {
+      ImplementationComponentObject* ico = *manager->icos().Find(comp.id);
+      EXPECT_EQ(ico->fetches_served(), 1u) << comp.name;
+    }
+    EXPECT_EQ(manager->fetcher().fetches_issued(), comps.size());
+    // Above 1, the second instance's four requests all join in-flight
+    // streams. At 1 they queue FIFO behind the first instance's, so each
+    // finds its image already cached by the one stream that carried it.
+    EXPECT_EQ(manager->fetcher().fetches_coalesced(),
+              concurrency > 1 ? comps.size() : 0u);
   }
-  EXPECT_EQ(manager->fetcher().fetches_issued(), comps.size());
-  // The second instance's four requests all joined in-flight streams.
-  EXPECT_EQ(manager->fetcher().fetches_coalesced(), comps.size());
 }
 
 // A mid-pipeline fetch failure surfaces the exact component that failed,
-// not a generic "creation failed".
+// not a generic "creation failed" — and at every concurrency, a partitioned
+// fetch is answered instead of leaving the simulation idle with no outcome.
 TEST_F(FetcherTest, FetchFailureNamesTheComponent) {
-  Testbed testbed{Parallel(8)};
-  auto manager = MakeManager(testbed, "failing", 3);
-  testbed.network().SetPartitioned(testbed.host(0)->node(),
-                                   testbed.host(1)->node(), true);
+  for (int concurrency : {1, 8}) {
+    SCOPED_TRACE("concurrency " + std::to_string(concurrency));
+    Testbed testbed{Parallel(concurrency)};
+    auto manager = MakeManager(testbed, "failing", 3);
+    testbed.network().SetPartitioned(testbed.host(0)->node(),
+                                     testbed.host(1)->node(), true);
 
-  Result<ObjectId> result = CreateBlocking(testbed, *manager, testbed.host(1));
-  ASSERT_FALSE(result.ok());
-  // The error names one of the components and the destination.
-  EXPECT_NE(result.status().message().find("failing-comp"),
-            std::string::npos)
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("fetch to node"), std::string::npos)
-      << result.status().ToString();
+    std::optional<Result<ObjectId>> result;
+    manager->CreateInstance(testbed.host(1),
+                            [&](Result<ObjectId> r) { result = r; });
+    testbed.simulation().RunWhile([&] { return !result.has_value(); });
+    ASSERT_TRUE(result.has_value()) << "the fetch was never answered";
+    ASSERT_FALSE(result->ok());
+    // The error names one of the components and the destination.
+    EXPECT_NE(result->status().message().find("failing-comp"),
+              std::string::npos)
+        << result->status().ToString();
+    EXPECT_NE(result->status().message().find("fetch to node"),
+              std::string::npos)
+        << result->status().ToString();
+  }
 }
 
 // Components already cached on the destination never open a stream.
@@ -126,7 +154,8 @@ TEST_F(FetcherTest, CachedComponentsSkipTheWire) {
 }
 
 // Prefetch warms the destination cache ahead of need; at concurrency 1 it
-// must be a perfect no-op (the sequential calibration sees no transfers).
+// must be a perfect no-op (the calibrated one-stream schedule sees no extra
+// transfers).
 TEST_F(FetcherTest, PrefetchWarmsCacheOnlyWhenParallel) {
   for (int concurrency : {1, 8}) {
     Testbed testbed{Parallel(concurrency)};

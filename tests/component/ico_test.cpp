@@ -85,12 +85,12 @@ TEST_F(IcoTest, UnknownMethodRejected) {
   EXPECT_EQ(reply.status().code(), ErrorCode::kNotFound);
 }
 
-TEST_F(IcoTest, FetchToCachesAtDestinationWithDownloadCost) {
+TEST_F(IcoTest, StreamToCachesAtDestinationWithDownloadCost) {
   ImplementationComponentObject ico(&home_, &transport_, &agent_,
                                     MakeComponent(550'000));
   ASSERT_FALSE(remote_.ComponentCached(ico.id()));
   bool done = false;
-  ico.FetchTo(&remote_, [&](Status status) {
+  ico.StreamTo(&remote_, [&](Status status) {
     EXPECT_TRUE(status.ok());
     done = true;
   });
@@ -106,12 +106,12 @@ TEST_F(IcoTest, FetchToCachesAtDestinationWithDownloadCost) {
   EXPECT_EQ(ico.fetches_served(), 1u);
 }
 
-TEST_F(IcoTest, FetchToCachedDestinationIsFree) {
+TEST_F(IcoTest, StreamToCachedDestinationIsFree) {
   ImplementationComponentObject ico(&home_, &transport_, &agent_,
                                     MakeComponent());
   remote_.CacheComponent(ico.id(), 550'000);
   bool done = false;
-  ico.FetchTo(&remote_, [&](Status status) {
+  ico.StreamTo(&remote_, [&](Status status) {
     EXPECT_TRUE(status.ok());
     done = true;
   });

@@ -2,7 +2,7 @@
 // creations, evolutions, and migrations at fetch_concurrency 8 over a small
 // bounded component cache, with the checker at every-event cadence and the
 // race detector watching. The pipeline reorders component arrivals relative
-// to the sequential path, so this is the test that proves completion-order
+// to request order, so this is the test that proves completion-order
 // incorporation never violates the dependency/permanence invariants or the
 // happens-before rules — a long run of legal operations must end with zero
 // reports.

@@ -9,7 +9,9 @@
 // legacy dedup window, >0 the slot-sequenced sessions. Both must uphold
 // exactly-once here; only the sessioned runs additionally bound the server's
 // concurrent in-flight work (admission happens client-side, so the server
-// never sees more than slots x clients bodies at once).
+// never sees more than slots x clients bodies at once). The checker
+// assertions hold only where the checker is compiled in; the nocheck preset
+// still runs every body and reply assertion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,9 +107,11 @@ TEST_P(OverloadTest, SlowServerRetriesNeverReExecuteTheParkedBody) {
   } else {
     EXPECT_GT(testbed.transport().dedup_hits(), 0u);
   }
+#if defined(DCDO_CHECK_ENABLED)
   ASSERT_NE(testbed.checker(), nullptr);
   EXPECT_TRUE(testbed.checker()->diagnostics().Clean())
       << testbed.checker()->diagnostics().DumpText();
+#endif
 }
 
 // Incast: a dozen clients converge on one endpoint at once. Sessions turn
@@ -164,9 +168,11 @@ TEST_P(OverloadTest, IncastBoundsServerConcurrencyUnderSessions) {
     // No admission control: the full incast lands on the server at once.
     EXPECT_EQ(max_in_flight, kClients * kCallsPerClient);
   }
+#if defined(DCDO_CHECK_ENABLED)
   ASSERT_NE(testbed.checker(), nullptr);
   EXPECT_TRUE(testbed.checker()->diagnostics().Clean())
       << testbed.checker()->diagnostics().DumpText();
+#endif
 }
 
 // Retry storm: the body executes on the FIRST attempt, then the link drops
@@ -238,9 +244,11 @@ TEST_P(OverloadTest, RetryStormAfterPartitionHealReplaysCachedReplies) {
     EXPECT_GE(testbed.transport().dedup_hits(),
               static_cast<std::uint64_t>(kClients));
   }
+#if defined(DCDO_CHECK_ENABLED)
   ASSERT_NE(testbed.checker(), nullptr);
   EXPECT_TRUE(testbed.checker()->diagnostics().Clean())
       << testbed.checker()->diagnostics().DumpText();
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(LegacyWindowAndSessions, OverloadTest,

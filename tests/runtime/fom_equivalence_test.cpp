@@ -1,6 +1,6 @@
 // Fom conversion equivalence (DESIGN.md §16): the converted operations —
 // creation, evolution incorporation, poll/removal, migration, coordinated
-// update, sequential fetch — must replay the *byte-identical* simulated
+// update — must replay the *byte-identical* simulated
 // execution the legacy continuation chains produced. Control flow moved out
 // of `shared_ptr<std::function>` chains into pooled Foms; every Schedule
 // call, every simulated cost, every event timestamp stays exactly the same.
@@ -201,15 +201,21 @@ void ExpectMatchesLegacy(const char* name, const Pinned& pinned,
 // schedule — never to paper over accidental drift from a control-flow edit.
 constexpr Pinned kFetchChurnPipelined = {11990163674873321486ull, 97ull,
                                          16991345864, 10806504725990349857ull};
-constexpr Pinned kFetchChurnSequential = {7900643515657299457ull, 103ull,
-                                          21134985962, 10806504725990349857ull};
+// kFetchChurnOneStream and kCoordinatorBatches were re-captured once when
+// fetch_concurrency 1 moved from the sequential fetch path onto the
+// pipeline: the host-wide one-stream bound, single-flight and NIC sharing
+// change the schedule (FetchChurn: 103 events ending at 21,134,985,962 ns
+// became 167 ending at 22,563,854,143 ns; CoordinatorBatches: 10 events
+// became 16 at the same end time), while both state hashes stayed the same.
+constexpr Pinned kFetchChurnOneStream = {11977715076626135513ull, 167ull,
+                                         22563854143, 10806504725990349857ull};
 // kRebindStorm was re-captured once when the remote directory-lookup model
 // was retired: the previous implementation, run with the scenario's lookups
 // switched to in-place shard queueing, produced this value, and the
 // implementation without the remote model must reproduce it byte for byte.
 constexpr Pinned kRebindStorm = {12624792850163606884ull, 96ull, 2976480,
                                  5379307963124079595ull};
-constexpr Pinned kCoordinatorBatches = {1602434531113269194ull, 10ull,
+constexpr Pinned kCoordinatorBatches = {16876413580541902132ull, 16ull,
                                         4811245836, 11468531600831910452ull};
 
 TEST(FomEquivalence, FetchChurnPipelinedMatchesLegacy) {
@@ -217,10 +223,10 @@ TEST(FomEquivalence, FetchChurnPipelinedMatchesLegacy) {
                       [] { return RunFetchChurn(8); });
 }
 
-TEST(FomEquivalence, FetchChurnSequentialMatchesLegacy) {
-  // fetch_concurrency = 1 drives the sequential fetch path — the
-  // SequentialDriver conversion — plus the inline poll/removal chain.
-  ExpectMatchesLegacy("kFetchChurnSequential", kFetchChurnSequential,
+TEST(FomEquivalence, FetchChurnOneStreamMatchesLegacy) {
+  // fetch_concurrency = 1: the pipeline with one stream per host, plus the
+  // inline poll/removal chain.
+  ExpectMatchesLegacy("kFetchChurnOneStream", kFetchChurnOneStream,
                       [] { return RunFetchChurn(1); });
 }
 

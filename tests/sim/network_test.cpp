@@ -127,12 +127,11 @@ TEST_F(NetworkTest, CountersTrackTraffic) {
   EXPECT_EQ(network_.bytes_sent(), 300u);
 }
 
-// TimedTransfer accounting must mirror Send: a successful transfer is one
+// BulkTransfer accounting must mirror Send: a successful transfer is one
 // sent + one delivered message with zero residual in-flight.
-TEST_F(NetworkTest, TimedTransferCountsLikeSend) {
+TEST_F(NetworkTest, BulkTransferCountsLikeSend) {
   bool done = false;
-  network_.TimedTransfer(1, 2, 4096, SimDuration::Millis(20),
-                         [&] { done = true; });
+  network_.BulkTransfer(1, 2, 4096, [&] { done = true; });
   EXPECT_EQ(network_.messages_sent(), 1u);
   EXPECT_EQ(network_.messages_in_flight(), 1u);
   simulation_.Run();
@@ -144,10 +143,9 @@ TEST_F(NetworkTest, TimedTransferCountsLikeSend) {
 
 // A transfer cut off mid-flight is accounted as dropped-in-flight, keeping
 // sent == delivered + dropped-in-flight + in-flight.
-TEST_F(NetworkTest, TimedTransferDropInFlightIsCounted) {
+TEST_F(NetworkTest, BulkTransferDropInFlightIsCounted) {
   bool done = false;
-  network_.TimedTransfer(1, 2, 4096, SimDuration::Millis(20),
-                         [&] { done = true; });
+  network_.BulkTransfer(1, 2, 4096, [&] { done = true; });
   simulation_.Schedule(SimDuration::Millis(1),
                        [&] { network_.SetPartitioned(1, 2, true); });
   simulation_.Run();
@@ -158,9 +156,9 @@ TEST_F(NetworkTest, TimedTransferDropInFlightIsCounted) {
   EXPECT_EQ(network_.messages_in_flight(), 0u);
 }
 
-TEST_F(NetworkTest, TimedTransferRefusedAtSendIsOnlyDropped) {
+TEST_F(NetworkTest, BulkTransferRefusedAtSendIsOnlyDropped) {
   network_.SetNodeUp(2, false);
-  network_.TimedTransfer(1, 2, 4096, SimDuration::Millis(20), [] {});
+  network_.BulkTransfer(1, 2, 4096, [] {});
   simulation_.Run();
   EXPECT_EQ(network_.messages_sent(), 0u);
   EXPECT_EQ(network_.messages_dropped(), 1u);
@@ -272,7 +270,7 @@ TEST_F(BatchingNetworkTest, MixedAffinityBatchDeliversInSendOrder) {
 // ===== StreamTransfer: fair-shared link capacity =====
 
 // A stream with the link to itself runs at its peak rate:
-// setup + bytes/peak + latency, exactly what TimedTransfer would charge.
+// setup + bytes/peak + latency, the calibrated component download time.
 TEST_F(NetworkTest, SoloStreamRunsAtPeakRate) {
   bool delivered = false;
   // 7.5 MB at a 7.5 MB/s peak (the component-transfer goodput): 1 s wire.

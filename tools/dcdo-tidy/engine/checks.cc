@@ -625,10 +625,10 @@ void CheckUnorderedIterationSchedules(const SourceFile& file,
     }
   }
 
-  static constexpr std::array<const char*, 9> kSinks = {
-      "Schedule",    "ScheduleAt",     "Send",    "SendMessage",
-      "Transfer",    "TimedTransfer",  "StreamTransfer",
-      "FetchTo",     "StreamTo"};
+  static constexpr std::array<const char*, 8> kSinks = {
+      "Schedule",     "ScheduleAt",     "Send",    "SendMessage",
+      "Transfer",     "BulkTransfer",   "StreamTransfer",
+      "StreamTo"};
 
   for (std::size_t pos = FindIdent(code, "for");
        pos != std::string_view::npos; pos = FindIdent(code, "for", pos + 1)) {
